@@ -86,7 +86,7 @@ void Executor::submit(PoolTask* task) {
     std::size_t depth;
     {
       std::lock_guard<std::mutex> guard(injector_mutex_);
-      injector_.push_back(task);
+      injector_.push(task);
       depth = injector_.size();
     }
     if (telemetry::sample_1_in_8()) {
@@ -101,7 +101,7 @@ void Executor::submit_fair(PoolTask* task) {
   std::size_t depth;
   {
     std::lock_guard<std::mutex> guard(injector_mutex_);
-    injector_.push_back(task);
+    injector_.push(task);
     depth = injector_.size();
   }
   if (telemetry::sample_1_in_8()) {
@@ -123,9 +123,7 @@ void Executor::wake_one() {
 PoolTask* Executor::pop_injector() {
   std::lock_guard<std::mutex> guard(injector_mutex_);
   if (injector_.empty()) return nullptr;
-  PoolTask* task = injector_.front();
-  injector_.pop_front();
-  return task;
+  return injector_.pop();
 }
 
 PoolTask* Executor::find_work(int index, std::uint64_t& dispatches) {

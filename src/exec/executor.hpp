@@ -22,13 +22,13 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "exec/chase_lev_deque.hpp"
+#include "exec/ring.hpp"
 
 namespace dmx::exec {
 
@@ -117,7 +117,7 @@ class Executor {
   int spin_;
 
   std::mutex injector_mutex_;
-  std::deque<PoolTask*> injector_;
+  Ring<PoolTask*> injector_;
 
   // Parking: submissions bump the epoch; a worker re-checks every queue,
   // snapshots the epoch, checks once more, and only then waits for the

@@ -1,46 +1,54 @@
 // Strand: a serialized FIFO task queue scheduled on a shared Executor.
 //
 // A strand is the concurrency unit of one state machine: tasks posted to
-// it run one at a time, in post order, on whichever pool worker picks the
-// strand up — never two tasks of the same strand concurrently, so the
-// state the tasks touch needs no locking of its own. Independent strands
-// run in parallel across the pool; this is how the threaded lock service
-// keeps the paper's one-event-at-a-time semantics per (resource, node)
-// state machine while independent resources use every core.
+// it run one at a time, in post order, on whichever thread holds the
+// strand's activation — never two tasks of the same strand concurrently,
+// so the state the tasks touch needs no locking of its own. Independent
+// strands run in parallel across the pool; this is how the threaded lock
+// service keeps the paper's one-event-at-a-time semantics per (resource,
+// node) state machine while independent resources use every core.
 //
 // Implementation: an internal ring of InlineCallback tasks guarded by a
-// short mutex, plus an `active` flag that guarantees at most one pool
-// activation of the strand exists at any time (posting to an idle strand
-// schedules it; posting to an active one just enqueues). An activation
-// drains up to kBatch tasks, then yields the worker and requeues itself
+// short mutex, plus an `active` flag that guarantees at most one
+// activation of the strand exists at any time. Enqueueing onto an idle
+// strand claims that activation; enqueueing onto an active one just
+// queues. post() submits a claimed activation to the pool. A caller that
+// enqueue()s may instead run the claimed activation on its own thread
+// (run_claimed()), skipping the pool hop: the lock service's client
+// gates do this for request and release, so an acquire whose token rests
+// at the caller is granted inside its own call. Either way an activation
+// drains up to kBatch tasks, then yields its thread and requeues itself
 // through the executor's fair global queue so one hot strand cannot
-// monopolize a worker or starve its deque neighbours.
+// monopolize a thread or starve its deque neighbours. Strands that a
+// caller-run task posts to are still scheduled on the pool.
 //
 // The serialization guarantee doubles as the memory fence: task i's
-// effects are published to task i+1 (possibly on another worker) through
+// effects are published to task i+1 (possibly on another thread) through
 // the queue mutex, so strand-confined state is race-free by construction.
+//
+// Accounting: exec.strand_activations counts every activation, pool- or
+// caller-run; ExecutorStats::tasks_executed counts pool tasks only.
 //
 // Lifetime: destroy a strand only after the executor is shut down or the
 // strand is known idle with no queued tasks; queued tasks are destroyed
 // unrun (their captures release normally).
 #pragma once
 
-#include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <mutex>
 #include <utility>
 
-#include "common/check.hpp"
 #include "exec/executor.hpp"
+#include "exec/ring.hpp"
 #include "sim/inline_function.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace dmx::exec {
 
 namespace detail {
-/// Shared across every strand in the process: activations (pool pickups)
-/// and the distribution of tasks drained per activation — the batching
-/// evidence behind the kBatch=32 choice.
+/// Shared across every strand in the process: activations (pool pickups
+/// and caller-run claims) and the distribution of tasks drained per
+/// activation — the batching evidence behind the kBatch=32 choice.
 inline telemetry::CounterId strand_activations_counter() {
   static const telemetry::CounterId id =
       telemetry::Registry::global().counter("exec.strand_activations");
@@ -59,7 +67,7 @@ class Strand {
   /// budget (six pointers) to stay off the heap.
   using Task = sim::InlineCallback;
 
-  /// Tasks drained per activation before the strand yields its worker and
+  /// Tasks drained per activation before the strand yields its thread and
   /// requeues fairly.
   static constexpr int kBatch = 32;
 
@@ -75,62 +83,34 @@ class Strand {
 
   /// Enqueues `task`; schedules the strand on the pool iff it was idle.
   void post(Task task) {
-    bool activate = false;
-    {
-      std::lock_guard<std::mutex> guard(mutex_);
-      queue_.push(std::move(task));
-      if (!active_) {
-        active_ = true;
-        activate = true;
-      }
-    }
-    if (activate) executor_.submit(&pool_task_);
+    if (enqueue(std::move(task))) submit_claimed();
   }
+
+  /// Enqueues `task` and returns whether the caller claimed the strand's
+  /// single activation (the strand was idle). A claimant must pass the
+  /// activation on exactly once, through run_claimed() or
+  /// submit_claimed(); until it does, the strand's tasks stay queued.
+  [[nodiscard]] bool enqueue(Task task) {
+    std::lock_guard<std::mutex> guard(mutex_);
+    queue_.push(std::move(task));
+    if (active_) return false;
+    active_ = true;
+    return true;
+  }
+
+  /// Runs a claimed activation on the calling thread: the same drain a
+  /// pool worker would make, up to kBatch tasks, with the rest requeued
+  /// to the pool. The caller must hold no lock a task may take.
+  void run_claimed() { run(); }
+
+  /// Hands a claimed activation to the pool instead.
+  void submit_claimed() { executor_.submit(&pool_task_); }
 
   /// Tasks executed over the strand's lifetime (test introspection; only
   /// meaningful once the strand is quiescent).
   std::uint64_t executed() const { return executed_; }
 
  private:
-  /// Grow-by-doubling ring of tasks; steady state recycles slots and
-  /// never allocates.
-  class TaskRing {
-   public:
-    bool empty() const { return size_ == 0; }
-
-    void push(Task task) {
-      if (size_ == capacity_) grow();
-      slots_[(head_ + size_) & (capacity_ - 1)] = std::move(task);
-      ++size_;
-    }
-
-    Task pop() {
-      DMX_CHECK(size_ > 0);
-      Task task = std::move(slots_[head_]);
-      slots_[head_] = nullptr;
-      head_ = (head_ + 1) & (capacity_ - 1);
-      --size_;
-      return task;
-    }
-
-   private:
-    void grow() {
-      const std::size_t fresh_capacity = capacity_ == 0 ? 8 : capacity_ * 2;
-      auto fresh = std::make_unique<Task[]>(fresh_capacity);
-      for (std::size_t i = 0; i < size_; ++i) {
-        fresh[i] = std::move(slots_[(head_ + i) & (capacity_ - 1)]);
-      }
-      slots_ = std::move(fresh);
-      capacity_ = fresh_capacity;
-      head_ = 0;
-    }
-
-    std::unique_ptr<Task[]> slots_;
-    std::size_t capacity_ = 0;
-    std::size_t head_ = 0;
-    std::size_t size_ = 0;
-  };
-
   static void run_activation(void* context) {
     static_cast<Strand*>(context)->run();
   }
@@ -146,7 +126,7 @@ class Strand {
           active_ = false;
           break;
         }
-        if (drained >= kBatch) {  // stay active, yield the worker
+        if (drained >= kBatch) {  // stay active, yield the thread
           requeue = true;
           break;
         }
@@ -168,7 +148,7 @@ class Strand {
   Executor& executor_;
   PoolTask pool_task_;
   std::mutex mutex_;
-  TaskRing queue_;
+  Ring<Task> queue_;
   bool active_ = false;
   std::uint64_t executed_ = 0;  // strand-confined
 };

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <thread>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "exec/ring.hpp"
 #include "exec/strand.hpp"
 #include "quorum/election.hpp"
 #include "telemetry/flight_recorder.hpp"
@@ -206,7 +206,7 @@ struct ThreadedLockSpace::ResourceNode {
   /// Arrival-order tickets of the parked waiters: a grant (protocol or
   /// chained) is consumed only by the waiter whose ticket is at the
   /// front, so same-node waiters cannot overtake each other.
-  std::deque<std::uint64_t> fifo;
+  exec::Ring<std::uint64_t> fifo;
   std::uint64_t ticket_seq = 0;
   /// Consecutive local hand-offs in the current lease window, and
   /// telemetry::now_ns() when the window opened (its first grant).
@@ -396,23 +396,43 @@ LockError ThreadedLockSpace::wait_for_grant(
     // so a later waiter on the same (resource, node) can never overtake
     // an earlier one through a lucky condvar wake.
     const std::uint64_t ticket = x.ticket_seq++;
-    x.fifo.push_back(ticket);
-    // One protocol request at a time per (resource, node): the first local
-    // waiter requests; later waiters ride local hand-off (unlock posts the
-    // next request once the current holder leaves).
-    if (!x.requested && !x.held) {
-      x.requested = true;
-      const Epoch tag = resource_epoch_[static_cast<std::size_t>(r)].load(
-          std::memory_order_acquire);
-      x.strand.post([&x, tag] { x.request(tag); });
-    }
-    const auto ready = [this, r, &x, ticket] {
-      return (x.granted && x.fifo.front() == ticket) ||
-             failed_.load(std::memory_order_relaxed) ||
+    x.fifo.push(ticket);
+    // No grant is coming: the space failed, or this node or the resource
+    // is dead.
+    const auto doomed = [this, r, &x] {
+      return failed_.load(std::memory_order_relaxed) ||
              node_down_[static_cast<std::size_t>(x.self)].load(
                  std::memory_order_relaxed) ||
              unavailable_[static_cast<std::size_t>(r)].load(
                  std::memory_order_relaxed);
+    };
+    // One protocol request at a time per (resource, node): the first local
+    // waiter requests; later waiters ride local hand-off (unlock enqueues
+    // the next request once the current holder leaves). A pending grant
+    // counts as held: the protocol is still inside its critical section,
+    // so a request now would only be discarded by the strand.
+    if (!x.requested && !x.held && !x.granted) {
+      x.requested = true;
+      const Epoch tag = resource_epoch_[static_cast<std::size_t>(r)].load(
+          std::memory_order_acquire);
+      if (x.strand.enqueue([&x, tag] { x.request(tag); })) {
+        if (doomed()) {
+          // Keep client_mutex until the first predicate check below, so
+          // kUnavailable wins before any grant can be consumed.
+          x.strand.submit_claimed();
+        } else {
+          // The strand was idle: run the request here instead of a pool
+          // hop. With the token resting at this node, on_grant fires
+          // inside this call and the wait below never sleeps. Tasks take
+          // client_mutex, so it must be dropped meanwhile.
+          guard.unlock();
+          x.strand.run_claimed();
+          guard.lock();
+        }
+      }
+    }
+    const auto ready = [&x, ticket, &doomed] {
+      return (x.granted && x.fifo.front() == ticket) || doomed();
     };
     while (true) {
       bool signalled = true;
@@ -425,7 +445,7 @@ LockError ThreadedLockSpace::wait_for_grant(
         // Deadline passed. The request stays posted; a grant arriving
         // with nobody waiting is handed straight back by on_grant.
         --x.waiting;
-        x.fifo.erase(std::find(x.fifo.begin(), x.fifo.end(), ticket));
+        x.fifo.erase(ticket);
         guard.unlock();
         // The waiter behind us is the new front; a pending grant it was
         // fenced off may now be its to consume.
@@ -449,7 +469,7 @@ LockError ThreadedLockSpace::wait_for_grant(
         x.granted = false;
         x.requested = false;
         --x.waiting;
-        x.fifo.pop_front();
+        x.fifo.pop();
         x.held = true;
         x.held_epoch = x.granted_epoch;
         // One clock read serves three consumers: the hold-time stamp,
@@ -465,7 +485,7 @@ LockError ThreadedLockSpace::wait_for_grant(
         break;
       }
       --x.waiting;
-      x.fifo.erase(std::find(x.fifo.begin(), x.fifo.end(), ticket));
+      x.fifo.erase(ticket);
       if (node_down_[static_cast<std::size_t>(x.self)].load(
               std::memory_order_relaxed) ||
           unavailable_[static_cast<std::size_t>(r)].load(
@@ -534,6 +554,7 @@ void ThreadedLockSpace::unlock(ResourceId r, NodeId v) {
   int chain_arg = 0;
   int ended_chain = 0;  // lease window closed at this length (0 = none)
   bool yielded_with_waiters = false;
+  bool claimed = false;  // this thread owns the strand's activation
   {
     std::lock_guard<std::mutex> guard(x.client_mutex);
     if (!x.held) {
@@ -597,15 +618,18 @@ void ThreadedLockSpace::unlock(ResourceId r, NodeId v) {
       x.chain_len = 0;
       yielded_with_waiters = x.waiting > 0;
       // Strand FIFO orders the release ahead of the follow-up request,
-      // and posting under client_mutex keeps a racing lock() on another
+      // and enqueueing under client_mutex keeps a racing lock() on another
       // thread from slipping its request in between.
-      x.strand.post([&x, tag] { x.release(tag); });
+      if (x.strand.enqueue([&x, tag] { x.release(tag); })) claimed = true;
       if (x.waiting > 0 && !x.requested) {
         x.requested = true;
-        x.strand.post([&x, tag] { x.request(tag); });
+        if (x.strand.enqueue([&x, tag] { x.request(tag); })) claimed = true;
       }
     }
   }
+  // The strand was idle: release here, off client_mutex, instead of a
+  // pool hop.
+  if (claimed) x.strand.run_claimed();
   // Telemetry off the client mutex.
   if (hold_started_ns != 0 && telemetry::sample_1_in_8()) {
     telemetry::observe(hold_hist_, release_ns - hold_started_ns);

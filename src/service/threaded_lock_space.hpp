@@ -6,10 +6,10 @@
 // delivery, request and release are strand-enqueued tasks, so each state
 // machine keeps the paper's one-event-at-a-time semantics while
 // independent resources (even on the same node) run in parallel across
-// the pool. This replaces the PR-3 architecture of one mailbox event-loop
-// thread per node, which serialized every resource of a node behind one
-// thread and capped the service at ~1.6x a single resource no matter how
-// many resources it carried.
+// the pool. This replaces an earlier architecture of one mailbox
+// event-loop thread per node, which serialized every resource of a node
+// behind one thread and capped the service at ~1.6x a single resource no
+// matter how many resources it carried.
 //
 // The client API is blocking: lock(r, v) parks the calling application
 // thread until node v holds resource r's critical section; ScopedLock is
@@ -17,6 +17,19 @@
 // (resource, node) pair — local waiters queue behind one protocol request
 // at a time (the paper's one-outstanding-request precondition), and the
 // resource hands off locally before the next protocol round trip.
+//
+// Request and release are not always pool tasks. The gate enqueues them
+// on the strand under the (resource, node) client_mutex, as before, and
+// when that strand was idle the calling thread claims its activation and
+// runs it itself once client_mutex is dropped (exec::Strand::enqueue /
+// run_claimed). So an acquire whose token rests at the caller is granted
+// inside its own call — the paper's "enter at once" case, with no pool
+// task and no condvar sleep — a remote acquire sends its REQUEST from the
+// client thread, and unlock runs release_cs inline. No claimed activation
+// may run under client_mutex: on_grant, rerequest and fail all take it.
+// Busy strands queue as before, and strands the inline task posts to are
+// scheduled on the pool. exec.strand_activations counts these caller-run
+// activations too, while exec.tasks_executed counts pool tasks only.
 //
 // Safety instrumentation: per-resource occupancy counters assert that no
 // two nodes are ever inside one resource's critical section (violations

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <deque>
 #include <mutex>
 #include <utility>
 
 #include "common/check.hpp"
+#include "exec/ring.hpp"
 #include "exec/strand.hpp"
 #include "quorum/election.hpp"
 #include "telemetry/flight_recorder.hpp"
@@ -187,7 +187,7 @@ struct DistributedLockSpace::ResourceNode {
   /// Arrival-order tickets of the parked waiters: a grant (protocol or
   /// chained) is consumed only by the waiter whose ticket is at the
   /// front, so same-node waiters cannot overtake each other.
-  std::deque<std::uint64_t> fifo;
+  exec::Ring<std::uint64_t> fifo;
   std::uint64_t ticket_seq = 0;
   /// Consecutive local hand-offs in the current lease window, and
   /// telemetry::now_ns() when the window opened (its first grant).
@@ -226,7 +226,7 @@ DistributedLockSpace::DistributedLockSpace(DistributedLockSpaceConfig config)
   }
 
   loop_ = std::make_unique<EventLoop>(
-      EventLoopConfig{config_.self},
+      EventLoopConfig{.self = config_.self, .mesh_size = config_.n},
       [this](const FrameHeader& header, net::MessagePtr message) {
         on_frame(header, std::move(message));
       },
@@ -772,18 +772,37 @@ LockError DistributedLockSpace::wait_for_grant(
     // so a later waiter on this node can never overtake an earlier one
     // through a lucky condvar wake.
     const std::uint64_t ticket = x.ticket_seq++;
-    x.fifo.push_back(ticket);
-    if (!x.requested && !x.held) {
+    x.fifo.push(ticket);
+    // No grant is coming: the space failed or the resource is dead.
+    const auto doomed = [this, r] {
+      return failed_.load(std::memory_order_relaxed) ||
+             unavailable_[static_cast<std::size_t>(r)].load(
+                 std::memory_order_relaxed);
+    };
+    // A pending grant counts as held (see ThreadedLockSpace): requesting
+    // now would only be discarded by the strand.
+    if (!x.requested && !x.held && !x.granted) {
       x.requested = true;
       const Epoch tag = resource_epoch_[static_cast<std::size_t>(r)].load(
           std::memory_order_acquire);
-      x.strand.post([&x, tag] { x.request(tag); });
+      if (x.strand.enqueue([&x, tag] { x.request(tag); })) {
+        if (doomed()) {
+          // Keep client_mutex until the first predicate check below, so
+          // kUnavailable wins before any grant can be consumed.
+          x.strand.submit_claimed();
+        } else {
+          // The strand was idle: run the request here (a token resting at
+          // this node grants inside this call; a remote one sends the
+          // REQUEST frame from this thread). Tasks take client_mutex, so
+          // it must be dropped meanwhile.
+          guard.unlock();
+          x.strand.run_claimed();
+          guard.lock();
+        }
+      }
     }
-    const auto ready = [this, r, &x, ticket] {
-      return (x.granted && x.fifo.front() == ticket) ||
-             failed_.load(std::memory_order_relaxed) ||
-             unavailable_[static_cast<std::size_t>(r)].load(
-                 std::memory_order_relaxed);
+    const auto ready = [&x, ticket, &doomed] {
+      return (x.granted && x.fifo.front() == ticket) || doomed();
     };
     while (true) {
       bool signalled = true;
@@ -799,7 +818,7 @@ LockError DistributedLockSpace::wait_for_grant(
         // re-arms against the ORIGINAL deadline after every spurious or
         // stale-grant wake.
         --x.waiting;
-        x.fifo.erase(std::find(x.fifo.begin(), x.fifo.end(), ticket));
+        x.fifo.erase(ticket);
         guard.unlock();
         // The waiter behind us is the new front; a pending grant it was
         // fenced off may now be its to consume.
@@ -823,7 +842,7 @@ LockError DistributedLockSpace::wait_for_grant(
         x.granted = false;
         x.requested = false;
         --x.waiting;
-        x.fifo.pop_front();
+        x.fifo.pop();
         x.held = true;
         x.held_epoch = x.granted_epoch;
         // One clock read serves the hold stamp, the wait histogram, and
@@ -841,7 +860,7 @@ LockError DistributedLockSpace::wait_for_grant(
       if (unavailable_[static_cast<std::size_t>(r)].load(
               std::memory_order_relaxed)) {
         --x.waiting;
-        x.fifo.erase(std::find(x.fifo.begin(), x.fifo.end(), ticket));
+        x.fifo.erase(ticket);
         telemetry::count(rt.unavailable);
         telemetry::FlightRecorder::record(telemetry::FlightEvent::kUnavailable,
                                           r, config_.self);
@@ -849,7 +868,7 @@ LockError DistributedLockSpace::wait_for_grant(
       }
       if (failed_.load(std::memory_order_relaxed)) {
         --x.waiting;
-        x.fifo.erase(std::find(x.fifo.begin(), x.fifo.end(), ticket));
+        x.fifo.erase(ticket);
         DMX_CHECK_MSG(false, "distributed lock space failed while waiting on "
                                  << name(r) << "; see first_error()");
       }
@@ -900,6 +919,7 @@ void DistributedLockSpace::unlock(ResourceId r) {
   int chain_arg = 0;
   int ended_chain = 0;  // lease window closed at this length (0 = none)
   bool yielded_with_waiters = false;
+  bool claimed = false;  // this thread owns the strand's activation
   {
     std::lock_guard<std::mutex> guard(x.client_mutex);
     DMX_CHECK_MSG(x.held, "unlock of resource " << name(r)
@@ -955,15 +975,18 @@ void DistributedLockSpace::unlock(ResourceId r) {
       x.chain_len = 0;
       yielded_with_waiters = x.waiting > 0;
       // Strand FIFO orders the release ahead of the follow-up request,
-      // and posting under client_mutex keeps a racing lock() on another
+      // and enqueueing under client_mutex keeps a racing lock() on another
       // thread from slipping its request in between.
-      x.strand.post([&x, tag] { x.release(tag); });
+      if (x.strand.enqueue([&x, tag] { x.release(tag); })) claimed = true;
       if (x.waiting > 0 && !x.requested) {
         x.requested = true;
-        x.strand.post([&x, tag] { x.request(tag); });
+        if (x.strand.enqueue([&x, tag] { x.request(tag); })) claimed = true;
       }
     }
   }
+  // The strand was idle: release here, off client_mutex and before the
+  // deferred-repair check below takes rs.mutex, instead of a pool hop.
+  if (claimed) x.strand.run_claimed();
   // Telemetry off the client mutex.
   if (hold_started_ns != 0 && telemetry::sample_1_in_8()) {
     telemetry::observe(hold_hist_, release_ns - hold_started_ns);

@@ -7,7 +7,11 @@
 // messages cross real sockets as codec frames instead of strand posts.
 // Protocol code is unchanged (the substitution argument of DESIGN.md,
 // extended to a third substrate): a MutexNode cannot tell whether its
-// Context::send lands in a sibling strand or on the wire.
+// Context::send lands in a sibling strand or on the wire. As in the
+// threaded gate, a client thread that finds its resource's strand idle
+// runs its own request or release there (off client_mutex) instead of
+// hopping through the pool, so a remote acquire writes its REQUEST frame
+// from the client thread.
 //
 // Wiring: construct, listen() to learn this node's port, exchange ports
 // out of band (the fork harness in process_harness.hpp uses pipes),

@@ -62,8 +62,10 @@ EventLoop::EventLoop(EventLoopConfig config, FrameHandler on_frame,
                      PeerDownHandler on_peer_down)
     : config_(config),
       on_frame_(std::move(on_frame)),
-      on_peer_down_(std::move(on_peer_down)) {
+      on_peer_down_(std::move(on_peer_down)),
+      ever_identified_(static_cast<std::size_t>(config_.mesh_size) + 1, 0) {
   DMX_CHECK(config_.self >= 1);
+  DMX_CHECK(config_.mesh_size >= 0);
   DMX_CHECK(config_.outbox_low_watermark <= config_.outbox_high_watermark);
   Codec::ensure_registered();
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
@@ -144,6 +146,9 @@ void EventLoop::connect(NodeId peer_id, std::uint16_t port) {
   {
     std::lock_guard<std::mutex> guard(peers_mutex_);
     peers_by_id_.emplace(peer_id, peer);
+    if (peer_id <= config_.mesh_size) {
+      ever_identified_[static_cast<std::size_t>(peer_id)] = 1;
+    }
   }
   peers_by_fd_.emplace(fd, peer);
   peers_cv_.notify_all();
@@ -193,7 +198,21 @@ bool EventLoop::send(NodeId to, Epoch epoch, ResourceId resource,
   {
     std::lock_guard<std::mutex> guard(peers_mutex_);
     const auto it = peers_by_id_.find(to);
-    if (it == peers_by_id_.end()) return false;
+    if (it == peers_by_id_.end()) {
+      // A mesh member that has never identified itself is still forming
+      // its links, not down: hold the frame for its HELLO. Encoding under
+      // peers_mutex_ orders it ahead of every frame sent after the HELLO.
+      if (to < 1 || to > config_.mesh_size || to == config_.self ||
+          ever_identified_[static_cast<std::size_t>(to)] != 0) {
+        return false;
+      }
+      Codec::encode_frame(held_for_hello_[to], epoch, resource, config_.self,
+                          to, message);
+      stats_.frames_sent.fetch_add(1, std::memory_order_relaxed);
+      telemetry::FlightRecorder::record(telemetry::FlightEvent::kFrameSend,
+                                        resource, to);
+      return true;
+    }
     peer = it->second;
   }
   {
@@ -358,9 +377,27 @@ bool EventLoop::drain_frames(Peer& peer) {
                                 << header.from);
           peer.id = header.from;
           std::shared_ptr<Peer> self_ref = peers_by_fd_.at(peer.fd);
+          bool held = false;
           {
             std::lock_guard<std::mutex> guard(peers_mutex_);
-            peers_by_id_.emplace(peer.id, std::move(self_ref));
+            peers_by_id_.emplace(peer.id, self_ref);
+            if (peer.id >= 1 && peer.id <= config_.mesh_size) {
+              ever_identified_[static_cast<std::size_t>(peer.id)] = 1;
+            }
+            const auto it = held_for_hello_.find(peer.id);
+            if (it != held_for_hello_.end()) {
+              std::lock_guard<std::mutex> out_guard(peer.out_mutex);
+              peer.outbox.append(it->second);
+              held_for_hello_.erase(it);
+              held = true;
+            }
+          }
+          if (held) {
+            {
+              std::lock_guard<std::mutex> guard(dirty_mutex_);
+              dirty_.push_back(std::move(self_ref));
+            }
+            wake();
           }
           peers_cv_.notify_all();
           telemetry::FlightRecorder::record(telemetry::FlightEvent::kPeerUp,

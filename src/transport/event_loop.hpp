@@ -11,8 +11,14 @@
 // Peer identity: the mesh convention is that node i dials every peer
 // j < i and accepts connections from every j > i (no duplicate links).
 // A dialed peer is identified immediately; an accepted one is anonymous
-// until its HELLO control frame arrives. send() to a not-yet-identified
-// peer fails — call wait_for_peers() before starting traffic.
+// until its HELLO control frame arrives. send() to a peer that has not
+// identified itself yet fails — unless the loop knows the mesh
+// (EventLoopConfig::mesh_size) and the peer is a member it has never
+// seen: then the frame is held and flushed, ahead of later frames, when
+// the HELLO lands. That covers mesh formation, where a sibling that
+// finished its own wait_for_peers() can send a request this node must
+// forward to a peer whose HELLO is still in flight. Call wait_for_peers()
+// before starting traffic of your own.
 //
 // Backpressure: each peer's outbox is bounded. When it passes the high
 // watermark, send() blocks the calling thread until the loop drains it
@@ -69,6 +75,9 @@ struct EventLoopConfig {
   std::size_t outbox_high_watermark = 4u << 20;
   /// Outbox bytes at which blocked senders are released.
   std::size_t outbox_low_watermark = 1u << 20;
+  /// Nodes of the full mesh (ids 1..mesh_size), or 0 if unknown. When
+  /// set, frames to a member not identified yet are held for its HELLO.
+  int mesh_size = 0;
 };
 
 class EventLoop {
@@ -169,6 +178,10 @@ class EventLoop {
   mutable std::mutex peers_mutex_;
   std::condition_variable peers_cv_;
   std::unordered_map<NodeId, std::shared_ptr<Peer>> peers_by_id_;
+  /// Under peers_mutex_: by mesh member id, whether it was ever
+  /// identified, and the encoded frames held for it until it is.
+  std::vector<std::uint8_t> ever_identified_;
+  std::unordered_map<NodeId, std::string> held_for_hello_;
 
   /// Peers with freshly queued output, for the loop to flush on wake.
   std::mutex dirty_mutex_;

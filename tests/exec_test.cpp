@@ -354,5 +354,113 @@ TEST(StrandTest, HotStrandCannotStarveItsNeighbours) {
   executor.shutdown();
 }
 
+TEST(StrandTest, CallerClaimantRacingWorkerPostsKeepsOrderWithoutOverlap) {
+  // An application thread that enqueues and runs claimed activations
+  // itself races a feeder strand whose pool-side tasks post to the same
+  // target. Each source's tasks must run in its own post order, no two
+  // target tasks may overlap, and none may be lost.
+  constexpr int kTasksPerSource = 2000;
+  Executor executor(ExecutorConfig{4, 16});
+  Strand target(executor);
+  Strand feeder(executor);
+
+  struct Seen {
+    int source;
+    int seq;
+  };
+  std::vector<Seen> order;  // written only by target tasks
+  order.reserve(2 * kTasksPerSource);
+  std::atomic<int> in_flight{0};
+  std::atomic<int> overlaps{0};
+  std::atomic<int> executed{0};
+  const auto task = [&](int source, int seq) {
+    return [&, source, seq] {
+      if (in_flight.fetch_add(1) != 0) overlaps.fetch_add(1);
+      order.push_back(Seen{source, seq});
+      in_flight.fetch_sub(1);
+      executed.fetch_add(1);
+    };
+  };
+
+  // The target is idle before the race starts, so the first enqueue must
+  // claim: the caller-run path is exercised at least once.
+  ASSERT_TRUE(target.enqueue(task(0, 0)));
+  target.run_claimed();
+  for (int i = 0; i < kTasksPerSource; ++i) {
+    feeder.post([&target, &task, i] { target.post(task(1, i)); });
+  }
+  int claims = 1;
+  for (int i = 1; i < kTasksPerSource; ++i) {
+    if (target.enqueue(task(0, i))) {
+      ++claims;
+      target.run_claimed();
+    }
+  }
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (executed.load() < 2 * kTasksPerSource &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  executor.shutdown();
+
+  EXPECT_EQ(overlaps.load(), 0);
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(2 * kTasksPerSource));
+  int next[2] = {0, 0};
+  for (const Seen& seen : order) {
+    ASSERT_EQ(seen.seq, next[seen.source]) << "source " << seen.source;
+    ++next[seen.source];
+  }
+  EXPECT_GE(claims, 1);
+}
+
+TEST(StrandTest, ClaimedDrainStopsAtBatchAndRequeuesTheRest) {
+  // A caller-run activation drains exactly kBatch tasks on the calling
+  // thread, then requeues the strand to the pool, which runs the rest as
+  // one pool task.
+  constexpr int kExtra = 5;
+  constexpr int kTotal = Strand::kBatch + kExtra;
+  Executor executor(ExecutorConfig{1, 8});
+  Strand strand(executor);
+
+  std::vector<std::thread::id> ran_on;  // written only by strand tasks
+  ran_on.reserve(kTotal);
+  std::atomic<int> executed{0};
+  int claims = 0;
+  for (int i = 0; i < kTotal; ++i) {
+    if (strand.enqueue([&ran_on, &executed] {
+          ran_on.push_back(std::this_thread::get_id());
+          executed.fetch_add(1);
+        })) {
+      ++claims;
+    }
+  }
+  EXPECT_EQ(claims, 1) << "only the enqueue onto the idle strand claims";
+  EXPECT_EQ(executed.load(), 0) << "a claimed activation runs only when run";
+
+  strand.run_claimed();
+  EXPECT_GE(executed.load(), Strand::kBatch);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((executed.load() < kTotal || executor.tasks_executed() < 1) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  executor.shutdown();
+
+  ASSERT_EQ(ran_on.size(), static_cast<std::size_t>(kTotal));
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int i = 0; i < kTotal; ++i) {
+    if (i < Strand::kBatch) {
+      EXPECT_EQ(ran_on[static_cast<std::size_t>(i)], caller) << "task " << i;
+    } else {
+      EXPECT_NE(ran_on[static_cast<std::size_t>(i)], caller) << "task " << i;
+    }
+  }
+  EXPECT_EQ(executor.tasks_executed(), 1u);
+}
+
 }  // namespace
 }  // namespace dmx::exec

@@ -5,6 +5,7 @@
 // short.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
@@ -35,6 +36,21 @@ ThreadedLockSpaceConfig make_config(int n, int m,
   config.resources = resource_names(m);
   config.jitter_us = jitter_us;
   return config;
+}
+
+/// Called inside a critical section: holds it until `count` other clients
+/// of node `v` are parked behind it (10 s deadline). A token-resident
+/// lock/unlock is granted inside the caller's own call, so client threads
+/// started one after another need not overlap at all; tests of local
+/// hand-off make the contention they check explicit with this.
+void await_local_waiters(ThreadedLockSpace& space, ResourceId r, NodeId v,
+                         int count) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (space.local_waiters(r, v) < count &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
 }
 
 TEST(ThreadedLockSpace, PerResourceCountersHaveNoLostUpdates) {
@@ -369,11 +385,15 @@ TEST(ThreadedLockSpace, ChainingSkipsProtocolRoundsForColocatedWaiters) {
     // Contend from a node that is NOT the coordinator, so un-chained
     // rounds must cross the wire.
     const NodeId client = space.home_node(0) == 2 ? 3 : 2;
+    std::atomic<bool> first{true};
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
-      threads.emplace_back([&space, client] {
+      threads.emplace_back([&space, &first, client] {
         for (int i = 0; i < 25; ++i) {
           ScopedLock guard(space, ResourceId{0}, client);
+          if (first.exchange(false)) {
+            await_local_waiters(space, ResourceId{0}, client, 3);
+          }
         }
       });
     }
@@ -397,11 +417,15 @@ TEST(ThreadedLockSpace, LeaseCapYieldsTheTokenBackToTheProtocol) {
   config.lease.max_chain = 1;
   config.lease.renew_when_no_remote = false;
   ThreadedLockSpace space(std::move(config));
+  std::atomic<bool> first{true};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&space] {
+    threads.emplace_back([&space, &first] {
       for (int i = 0; i < 25; ++i) {
         ScopedLock guard(space, ResourceId{0}, NodeId{2});
+        if (first.exchange(false)) {
+          await_local_waiters(space, ResourceId{0}, NodeId{2}, 3);
+        }
       }
     });
   }
@@ -441,12 +465,17 @@ TEST(ThreadedLockSpace, ChainingSurvivesRemoteContentionExactly) {
   const int rounds = 15;
   ThreadedLockSpace space(make_config(n, 1));
   long long counter = 0;
+  std::atomic<bool> first{true};
   std::vector<std::thread> threads;
   for (NodeId v = 1; v <= n; ++v) {
     for (int t = 0; t < threads_per_node; ++t) {
-      threads.emplace_back([&space, &counter, v] {
+      threads.emplace_back([&space, &counter, &first, v] {
         for (int i = 0; i < rounds; ++i) {
           ScopedLock guard(space, ResourceId{0}, v);
+          if (first.exchange(false)) {
+            await_local_waiters(space, ResourceId{0}, v,
+                                threads_per_node - 1);
+          }
           const long long read = counter;
           std::this_thread::yield();
           counter = read + 1;
@@ -457,6 +486,31 @@ TEST(ThreadedLockSpace, ChainingSurvivesRemoteContentionExactly) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(counter, static_cast<long long>(n) * threads_per_node * rounds);
   EXPECT_GT(space.chained_grants(), 0u);
+  EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
+}
+
+TEST(ThreadedLockSpace, TokenResidentAcquireRunsNoPoolTask) {
+  // The paper's procedure P1: a node holding the token enters at once.
+  // With the token resting at the caller and its strand idle, the gate
+  // runs request and release on the caller's own thread, so lock/unlock
+  // costs no pool task, no message and no condvar sleep.
+  ThreadedLockSpaceConfig config = make_config(2, 1);
+  config.workers = 1;
+  ThreadedLockSpace space(std::move(config));
+  const ResourceId r = 0;
+  const NodeId home = space.home_node(r);  // Neilsen's initial holder
+  const auto pool_tasks = [&space] {
+    return space.telemetry_snapshot().counter("exec.tasks_executed");
+  };
+  const std::uint64_t before = pool_tasks();
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(space.try_lock_for(r, home, std::chrono::seconds(5)),
+              LockError::kOk);
+    space.unlock(r, home);
+  }
+  EXPECT_EQ(pool_tasks(), before);
+  EXPECT_EQ(space.entries(r), 100u);
+  EXPECT_EQ(space.messages_sent(), 0u);
   EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
 }
 

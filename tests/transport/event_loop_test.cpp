@@ -182,6 +182,54 @@ TEST(EventLoop, SendToUnknownPeerFails) {
   loop.stop();
 }
 
+TEST(EventLoop, FramesToAMemberAwaitingHelloAreHeldUntilItIdentifies) {
+  // Mesh formation: node 1 must forward a frame to node 2 before node 2
+  // has dialed in. Knowing the mesh, the loop holds the frame and flushes
+  // it, ahead of later traffic, once node 2's HELLO identifies it.
+  Sink sink1;
+  Sink sink2;
+  EventLoop loop1({.self = 1, .mesh_size = 2}, sink1.frame_handler(),
+                  sink1.down_handler());
+  const std::uint16_t port1 = loop1.listen();
+  loop1.start();
+  const core::RequestMessage early(1, 1);
+  EXPECT_TRUE(loop1.send(2, /*epoch=*/0, /*resource=*/4, early));
+  EXPECT_FALSE(loop1.send(3, 0, 0, core::PrivilegeMessage()))
+      << "a non-member is unknown, not pending";
+
+  {
+    EventLoop loop2({.self = 2, .mesh_size = 2}, sink2.frame_handler(),
+                    sink2.down_handler());
+    loop2.listen();
+    loop2.connect(1, port1);
+    loop2.start();
+    ASSERT_TRUE(loop1.wait_for_peers(1, 2000ms));
+    const core::PrivilegeMessage later;
+    EXPECT_TRUE(loop1.send(2, /*epoch=*/0, /*resource=*/5, later));
+
+    ASSERT_TRUE(sink2.wait_frames(2, 2000ms));
+    {
+      std::lock_guard<std::mutex> lock(sink2.mutex);
+      EXPECT_EQ(sink2.frames[0].first.resource, 4);
+      EXPECT_EQ(sink2.frames[0].second->encode(), early.encode());
+      EXPECT_EQ(sink2.frames[1].first.resource, 5);
+    }
+    loop2.stop();
+    EXPECT_FALSE(loop2.first_error().has_value());
+  }  // node 2's sockets close here
+
+  const auto deadline = std::chrono::steady_clock::now() + 2000ms;
+  while (loop1.connected_peers() > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(loop1.connected_peers(), 0);
+  EXPECT_FALSE(loop1.send(2, 0, 0, core::PrivilegeMessage()))
+      << "a member that left is down, not pending";
+  loop1.stop();
+  EXPECT_FALSE(loop1.first_error().has_value());
+}
+
 TEST(EventLoop, ReassemblesFramesSplitAcrossReads) {
   Sink sink;
   EventLoop loop({.self = 1}, sink.frame_handler(), sink.down_handler());
