@@ -1,7 +1,8 @@
 // A real multi-threaded lock service: N worker threads (one per node)
-// increment a shared, deliberately unsynchronized counter under a
-// DistributedMutex backed by the Neilsen DAG protocol. Lost updates would
-// make the final count fall short — run it and check the arithmetic.
+// increment a shared, deliberately unsynchronized counter under one named
+// lock of a ThreadedLockSpace backed by the Neilsen DAG protocol. Lost
+// updates would make the final count fall short — run it and check the
+// arithmetic.
 //
 //   $ ./lock_service [workers] [increments]
 #include <cstdlib>
@@ -10,7 +11,7 @@
 #include <vector>
 
 #include "baselines/registry.hpp"
-#include "runtime/lock_cluster.hpp"
+#include "service/threaded_lock_space.hpp"
 #include "topology/tree.hpp"
 
 int main(int argc, char** argv) {
@@ -18,22 +19,22 @@ int main(int argc, char** argv) {
   const int workers = argc > 1 ? std::atoi(argv[1]) : 8;
   const int increments = argc > 2 ? std::atoi(argv[2]) : 250;
 
-  runtime::LockClusterConfig config;
+  service::ThreadedLockSpaceConfig config;
   config.n = workers;
-  config.initial_token_holder = 1;
+  config.algorithm = baselines::algorithm_by_name("Neilsen");
+  config.resources = {"counter"};
   config.tree = topology::Tree::star(workers, 1);
   config.jitter_us = 20;  // shake the thread schedules a little
-  runtime::LockCluster cluster(baselines::algorithm_by_name("Neilsen"),
-                               std::move(config));
+  service::ThreadedLockSpace space(std::move(config));
+  const ResourceId lock = space.lookup("counter");
 
-  long long counter = 0;  // protected only by the distributed mutex
+  long long counter = 0;  // protected only by the distributed lock
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(workers));
   for (NodeId v = 1; v <= workers; ++v) {
-    threads.emplace_back([&cluster, &counter, increments, v] {
-      runtime::DistributedMutex mutex = cluster.mutex(v);
+    threads.emplace_back([&space, &counter, lock, increments, v] {
       for (int i = 0; i < increments; ++i) {
-        std::lock_guard<runtime::DistributedMutex> guard(mutex);
+        service::ScopedLock guard(space, lock, v);
         ++counter;  // the critical section
       }
     });
@@ -46,9 +47,9 @@ int main(int argc, char** argv) {
             << "\ncounter: " << counter << " (expected " << expected << ") "
             << (counter == expected ? "— mutual exclusion held"
                                     : "— LOST UPDATES!")
-            << "\ncritical sections served: " << cluster.total_entries()
-            << "\n";
-  if (auto error = cluster.first_error()) {
+            << "\ncritical sections served: " << space.total_entries()
+            << "\nprotocol messages: " << space.messages_sent() << "\n";
+  if (auto error = space.first_error()) {
     std::cout << "protocol error: " << *error << "\n";
     return 1;
   }

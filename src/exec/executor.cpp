@@ -89,7 +89,7 @@ void Executor::submit(PoolTask* task) {
       injector_.push(task);
       depth = injector_.size();
     }
-    if (telemetry::sample_1_in_8()) {
+    if (telemetry::sample_1_in_8<telemetry::SampleSite::kInjectorDepth>()) {
       telemetry::observe(injector_depth_hist(), depth);
     }
   }
@@ -104,7 +104,7 @@ void Executor::submit_fair(PoolTask* task) {
     injector_.push(task);
     depth = injector_.size();
   }
-  if (telemetry::sample_1_in_8()) {
+  if (telemetry::sample_1_in_8<telemetry::SampleSite::kInjectorDepth>()) {
     telemetry::observe(injector_depth_hist(), depth);
   }
   wake_one();

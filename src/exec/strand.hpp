@@ -138,7 +138,7 @@ class Strand {
     }
     telemetry::count(detail::strand_activations_counter());
     // Activation counter exact; batch histogram is shape-only, sampled.
-    if (telemetry::sample_1_in_8()) {
+    if (telemetry::sample_1_in_8<telemetry::SampleSite::kStrandBatch>()) {
       telemetry::observe(detail::strand_batch_hist(),
                          static_cast<std::uint64_t>(drained));
     }

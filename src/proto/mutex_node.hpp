@@ -3,9 +3,15 @@
 // Every mutual-exclusion algorithm in this repository is written as a pure
 // event-driven state machine (a MutexNode per participant) that talks to
 // the outside world only through a Context. The same protocol code then
-// runs unchanged on the deterministic simulator (src/harness) and on the
-// multi-threaded in-memory runtime (src/runtime) — the substitution
-// argument in DESIGN.md depends on this.
+// runs unchanged on the deterministic simulator (src/harness, src/service
+// LockSpace), on threads (service::ThreadedLockSpace) and on one process
+// per node over TCP (transport::DistributedLockSpace). That is the
+// substitution argument: a handler sees only its Context and the messages
+// it receives, never which substrate carries them, so every property the
+// simulator, the explorer and the swarm establish for the handlers holds
+// for the same handlers on real threads and sockets — up to the
+// substrate's own promises (per-channel FIFO delivery, one handler of a
+// node at a time), which each substrate keeps.
 //
 // Protocol contract (mirrors the paper's Chapter 2 assumptions):
 //  * request_cs() may only be called when the node is neither waiting for

@@ -1,35 +1,26 @@
 // Multi-resource lock service on the multi-threaded runtime.
 //
-// Execution substrate: every (resource, node) protocol state machine owns
-// an exec::Strand — a serialized task queue — and all strands of all
-// nodes share ONE work-stealing worker pool (exec::Executor). Message
-// delivery, request and release are strand-enqueued tasks, so each state
-// machine keeps the paper's one-event-at-a-time semantics while
-// independent resources (even on the same node) run in parallel across
-// the pool. This replaces an earlier architecture of one mailbox
-// event-loop thread per node, which serialized every resource of a node
-// behind one thread and capped the service at ~1.6x a single resource no
-// matter how many resources it carried.
+// Execution substrate: every (resource, node) protocol state machine is a
+// service::Gate (service/gate.hpp) with its own exec::Strand — a
+// serialized task queue — and all strands of all nodes share ONE
+// work-stealing worker pool (exec::Executor). Message delivery, request
+// and release are strand tasks, so each state machine keeps the paper's
+// one-event-at-a-time semantics while independent resources (even on the
+// same node) run in parallel across the pool. A message between two nodes
+// is a post onto the destination gate's strand.
 //
 // The client API is blocking: lock(r, v) parks the calling application
 // thread until node v holds resource r's critical section; ScopedLock is
 // the RAII sugar. Multiple application threads may contend for the same
-// (resource, node) pair — local waiters queue behind one protocol request
-// at a time (the paper's one-outstanding-request precondition), and the
-// resource hands off locally before the next protocol round trip.
+// (resource, node) pair — the gate queues local waiters behind one
+// protocol request at a time (the paper's one-outstanding-request
+// precondition), chains the critical section between them under a lease,
+// and runs a request or release on the caller's own thread when its
+// strand is idle, so a token-resident acquire is granted inside the call.
 //
-// Request and release are not always pool tasks. The gate enqueues them
-// on the strand under the (resource, node) client_mutex, as before, and
-// when that strand was idle the calling thread claims its activation and
-// runs it itself once client_mutex is dropped (exec::Strand::enqueue /
-// run_claimed). So an acquire whose token rests at the caller is granted
-// inside its own call — the paper's "enter at once" case, with no pool
-// task and no condvar sleep — a remote acquire sends its REQUEST from the
-// client thread, and unlock runs release_cs inline. No claimed activation
-// may run under client_mutex: on_grant, rerequest and fail all take it.
-// Busy strands queue as before, and strands the inline task posts to are
-// scheduled on the pool. exec.strand_activations counts these caller-run
-// activations too, while exec.tasks_executed counts pool tasks only.
+// Faults: crash(v) sets the down flag of v's gates, and a repair bumps
+// the resource's epoch, installs fresh compact-world instances and
+// re-requests for parked waiters (maybe_repair).
 //
 // Safety instrumentation: per-resource occupancy counters assert that no
 // two nodes are ever inside one resource's critical section (violations
@@ -48,29 +39,16 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "exec/executor.hpp"
 #include "fault/membership.hpp"
-#include "net/message_kind.hpp"
 #include "proto/algorithm.hpp"
 #include "proto/mutex_node.hpp"
 #include "service/directory.hpp"
+#include "service/gate.hpp"
 #include "service/lease.hpp"
 #include "telemetry/telemetry.hpp"
 #include "topology/tree.hpp"
 
 namespace dmx::service {
-
-/// Outcome of a bounded-wait lock attempt.
-enum class LockError {
-  kOk = 0,
-  /// The wait deadline passed without a grant; the request stays posted
-  /// and a grant that arrives with nobody waiting is released back.
-  kTimeout,
-  /// The lock can never be granted: the calling node has crashed, or the
-  /// resource is dead (its token died with a crashed node and recovery is
-  /// disabled or lacks a live majority).
-  kUnavailable,
-};
 
 struct ThreadedLockSpaceConfig {
   int n = 0;
@@ -107,17 +85,16 @@ struct ThreadedLockSpaceConfig {
   LeaseConfig lease;
 };
 
-class ThreadedLockSpace {
+class ThreadedLockSpace final : private GateHost {
  public:
   explicit ThreadedLockSpace(ThreadedLockSpaceConfig config);
-  ~ThreadedLockSpace();
 
   ThreadedLockSpace(const ThreadedLockSpace&) = delete;
   ThreadedLockSpace& operator=(const ThreadedLockSpace&) = delete;
 
   int nodes() const { return config_.n; }
   int resource_count() const { return directory_.resource_count(); }
-  int workers() const { return executor_.workers(); }
+  int workers() const { return gates_.executor().workers(); }
   const Directory& directory() const { return directory_; }
 
   ResourceId lookup(std::string_view name) const {
@@ -162,12 +139,8 @@ class ThreadedLockSpace {
   /// a protocol round, and lease windows that closed with local waiters
   /// still queued (the token went back to the protocol anyway — the
   /// bounded-waiting cap at work).
-  std::uint64_t chained_grants() const {
-    return chained_grants_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t lease_yields() const {
-    return lease_yields_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t chained_grants() const { return gates_.chained_grants(); }
+  std::uint64_t lease_yields() const { return gates_.lease_yields(); }
   /// Application threads of node `v` currently parked in lock() /
   /// try_lock_for() on `r`. Test observability for the FIFO hand-off
   /// queue; racy by nature, stable once the callers are known parked.
@@ -182,10 +155,9 @@ class ThreadedLockSpace {
   telemetry::MetricsSnapshot telemetry_snapshot() const;
 
  private:
-  struct ResourceNode;
-
   /// Per-resource repair bookkeeping; `mutex` serializes repairs against
-  /// each other and against the holder checks in unlock().
+  /// each other and against the holder checks in unlock(). Taken before
+  /// any gate's client mutex, never the reverse.
   struct RepairState {
     std::mutex mutex;
     /// Repair requested while a live survivor held the lock; the holder's
@@ -201,27 +173,18 @@ class ThreadedLockSpace {
     std::vector<std::unique_ptr<topology::Tree>> trees;
   };
 
-  /// Per-resource interned metric ids and token-kind set, resolved once
-  /// at construction so the hot paths never touch the registry's mutex.
-  struct ResourceTelemetry {
-    telemetry::HistogramId wait_ns;
-    telemetry::CounterId ok;
-    telemetry::CounterId timeouts;
-    telemetry::CounterId unavailable;
-    /// Interned kinds of this resource's token-carrying messages, for
-    /// flight-recording token forwards in route().
-    std::vector<net::MessageKind> token_kinds;
-  };
-
-  ResourceNode& rn(ResourceId r, NodeId v);
+  std::size_t gate_index(ResourceId r, NodeId v) const {
+    return static_cast<std::size_t>(r) * static_cast<std::size_t>(config_.n) +
+           static_cast<std::size_t>(v) - 1;
+  }
+  Gate& gate(ResourceId r, NodeId v) { return gates_.gate(gate_index(r, v)); }
+  const Gate& gate(ResourceId r, NodeId v) const {
+    return gates_.gate(gate_index(r, v));
+  }
+  /// GateHost: a message between nodes is a post onto the destination
+  /// gate's strand; traffic to and from a dead node is dropped.
   void route(ResourceId r, NodeId from, NodeId to, net::MessagePtr message,
-             Epoch tag);
-  /// Flips resource `r` unavailable, stamping the window start once.
-  void mark_unavailable(ResourceId r);
-  void record_error(const std::string& what);
-  /// Records the error, then releases every parked application thread —
-  /// no grant is ever coming once a protocol handler has thrown.
-  void fail(const std::string& what);
+             Epoch tag) override;
   /// Repairs resource `r` if its membership is stale: elects a winner by
   /// quorum consent, bumps the epoch (fencing every queued old-world
   /// task), installs fresh compact-world instances via per-strand reset
@@ -231,48 +194,21 @@ class ThreadedLockSpace {
   void maybe_repair(ResourceId r);
   /// Wakes every parked waiter of resource `r` (predicate re-check).
   void wake_all(ResourceId r);
-  LockError wait_for_grant(ResourceId r, NodeId v,
-                           const std::chrono::milliseconds* timeout);
 
   ThreadedLockSpaceConfig config_;
   Directory directory_;
-  exec::Executor executor_;
   std::vector<proto::Algorithm> algorithms_;  // by ResourceId
-  /// (resource, node) state machines, indexed r * n + (v - 1). Destroyed
-  /// after the executor stops, which drops their queued tasks unrun.
-  std::vector<std::unique_ptr<ResourceNode>> nodes_;
-  /// Liveness by node id (index 1..n) and dead-resource flags by id.
-  std::unique_ptr<std::atomic<bool>[]> node_down_;
-  std::unique_ptr<std::atomic<bool>[]> unavailable_;
-  /// Current reconfiguration epoch by ResourceId; tasks posted from
-  /// application threads are tagged with it and fenced on mismatch.
-  std::unique_ptr<std::atomic<Epoch>[]> resource_epoch_;
   std::vector<std::unique_ptr<RepairState>> repair_;  // by ResourceId
   /// Initial token holder by ResourceId (the resource's "home" for
   /// token-loss detection when recovery is disabled).
   std::vector<NodeId> initial_holder_;
-  /// Any crash ever injected (enables ghost-unlock tolerance).
-  std::atomic<bool> fault_active_{false};
-  /// Per-resource occupancy (0 or 1 when exclusion holds) and entry
-  /// counts, indexed by ResourceId.
-  std::unique_ptr<std::atomic<int>[]> occupancy_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> entries_;
   std::atomic<std::uint64_t> messages_sent_{0};
-  std::atomic<std::uint64_t> chained_grants_{0};
-  std::atomic<std::uint64_t> lease_yields_{0};
-  std::atomic<bool> failed_{false};
-
-  std::vector<ResourceTelemetry> resource_telemetry_;  // by ResourceId
-  telemetry::HistogramId hold_hist_;
-  telemetry::HistogramId chain_hist_;
   telemetry::HistogramId repair_hist_;
   telemetry::HistogramId unavail_hist_;
-  /// telemetry::now_ns() when resource r last became unavailable (0 when
-  /// it is not); closes the fault.unavail_window_ns histogram on repair.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> unavailable_since_ns_;
-
-  mutable std::mutex error_mutex_;
-  std::optional<std::string> first_error_;
+  /// The (resource, node) gates, indexed r * n + (v - 1), and the pool
+  /// their strands run on. Declared last so the pool stops before the
+  /// repair trees and counters its tasks use are destroyed.
+  GateSet gates_;
 };
 
 /// RAII holder: locks on construction, unlocks on destruction. Move-only.

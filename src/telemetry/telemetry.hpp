@@ -260,6 +260,9 @@ inline void observe(HistogramId id, std::uint64_t value) {
   Registry::global().record(id, value);
 }
 
+/// Hot-path histograms that sample 1 in 8 events.
+enum class SampleSite { kClientWait, kClientHold, kStrandBatch, kInjectorDepth };
+
 #if DMX_TELEMETRY
 /// 1-in-8 sampling gate for distribution-shape histograms on per-event
 /// hot paths (client wait/hold, strand batch, injector depth). Counters
@@ -267,12 +270,22 @@ inline void observe(HistogramId id, std::uint64_t value) {
 /// for a stable shape, and at saturation every event would pay for it —
 /// on an oversubscribed box the per-thread shard arrays don't fit in
 /// cache, so each skipped observe also skips a likely cache miss.
+///
+/// Every site keeps its own per-thread tick. On one shared tick, sites
+/// that interleave on a thread in a fixed rhythm alias: a token-resident
+/// lock/unlock loop ticks request, wait, release and hold in a 4-step
+/// cycle, so the wait sample landed on ticks 2, 6, 10, ... and never
+/// fired.
+template <SampleSite kSite>
 inline bool sample_1_in_8() {
   thread_local std::uint32_t tick = 0;
   return (++tick & 7u) == 0;
 }
 #else
-inline bool sample_1_in_8() { return false; }
+template <SampleSite kSite>
+inline bool sample_1_in_8() {
+  return false;
+}
 #endif
 
 }  // namespace dmx::telemetry

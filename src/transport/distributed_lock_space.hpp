@@ -1,17 +1,19 @@
 // Multi-resource lock service with one node per PROCESS over loopback TCP.
 //
 // The distributed sibling of service::ThreadedLockSpace: the same
-// per-resource strand-confined protocol state machines, the same
-// client-gate lock()/unlock() bridge, the same consistent-hash Directory
+// per-resource strand-confined protocol state machines and client gate
+// (service::Gate, service/gate.hpp), the same consistent-hash Directory
 // placement — but each process runs exactly ONE node, and protocol
 // messages cross real sockets as codec frames instead of strand posts.
-// Protocol code is unchanged (the substitution argument of DESIGN.md,
-// extended to a third substrate): a MutexNode cannot tell whether its
-// Context::send lands in a sibling strand or on the wire. As in the
-// threaded gate, a client thread that finds its resource's strand idle
-// runs its own request or release there (off client_mutex) instead of
-// hopping through the pool, so a remote acquire writes its REQUEST frame
-// from the client thread.
+// Protocol code is unchanged. Every algorithm is a MutexNode that reaches
+// the outside world only through proto::Context, so it cannot tell
+// whether its Context::send lands in the simulator's network, a sibling
+// strand or a TCP socket; the same handlers therefore run on all three
+// substrates, and what the simulator and model checker establish about
+// them carries over. As in the threaded space, a client thread that finds
+// its resource's strand idle runs its own request or release there
+// instead of hopping through the pool, so a remote acquire writes its
+// REQUEST frame from the client thread.
 //
 // Wiring: construct, listen() to learn this node's port, exchange ports
 // out of band (the fork harness in process_harness.hpp uses pipes),
@@ -50,13 +52,11 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "exec/executor.hpp"
 #include "fault/membership.hpp"
-#include "net/message_kind.hpp"
 #include "proto/algorithm.hpp"
 #include "service/directory.hpp"
+#include "service/gate.hpp"
 #include "service/lease.hpp"
-#include "service/threaded_lock_space.hpp"  // service::LockError
 #include "telemetry/telemetry.hpp"
 #include "topology/tree.hpp"
 #include "transport/event_loop.hpp"
@@ -101,7 +101,7 @@ struct DistributedLockSpaceConfig {
   service::LeaseConfig lease;
 };
 
-class DistributedLockSpace {
+class DistributedLockSpace final : private service::GateHost {
  public:
   explicit DistributedLockSpace(DistributedLockSpaceConfig config);
   ~DistributedLockSpace();
@@ -171,24 +171,21 @@ class DistributedLockSpace {
   /// Releases that handed the CS straight to a co-located waiter without
   /// a wire round, and lease windows that closed with local waiters
   /// still queued (the bounded-waiting cap at work).
-  std::uint64_t chained_grants() const {
-    return chained_grants_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t lease_yields() const {
-    return lease_yields_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t chained_grants() const { return gates_.chained_grants(); }
+  std::uint64_t lease_yields() const { return gates_.lease_yields(); }
+  /// Client threads currently parked in lock() / try_lock_for() on `r`
+  /// (racy by nature, stable once the callers are known parked).
+  int local_waiters(ResourceId r);
 
   /// First protocol, exclusivity, or transport error observed, if any.
   std::optional<std::string> first_error() const;
 
   /// Merged runtime metrics for this process: every telemetry metric plus
-  /// the executor counters (exec.*) and the event-loop counters (wire.*)
-  /// folded in.
+  /// the executor counters (exec.*), the lease counters and client.wait_ns
+  /// roll-up (client.*) and the event-loop counters (wire.*) folded in.
   telemetry::MetricsSnapshot telemetry_snapshot() const;
 
  private:
-  struct ResourceNode;
-
   /// A protocol frame parked by the epoch fence: its epoch is newer than
   /// the installed world (the REPAIR announcing that epoch has not been
   /// processed, or the install is still awaiting acks). Drained — behind
@@ -200,12 +197,13 @@ class DistributedLockSpace {
   };
 
   /// Per-resource repair controller state; `mutex` guards every field.
-  /// Lock order: RepairState::mutex before ResourceNode::client_mutex,
-  /// never the reverse.
+  /// Lock order: RepairState::mutex before the gate's client mutex, never
+  /// the reverse.
   struct RepairState {
     std::mutex mutex;
     /// Highest epoch announced (and fenced at) for this resource; always
-    /// mirrored into resource_epoch_ while `mutex` is held.
+    /// mirrored into the gates' GateResource::epoch while `mutex` is held
+    /// (grant revalidation reads it lock-free).
     Epoch target = 0;
     /// Epoch whose world reset has been posted to the strand.
     Epoch installed = 0;
@@ -229,19 +227,12 @@ class DistributedLockSpace {
     std::uint64_t repair_started_ns = 0;
   };
 
-  /// Per-resource interned metric ids, resolved once at construction.
-  struct ResourceTelemetry {
-    telemetry::HistogramId wait_ns;
-    telemetry::CounterId ok;
-    telemetry::CounterId timeouts;
-    telemetry::CounterId unavailable;
-  };
-
-  ResourceNode& rn(ResourceId r);
+  service::Gate& gate(ResourceId r);
   RepairState& repair(ResourceId r);
-  /// Context::send target: frames the message (stamped with the sending
-  /// world's epoch) and ships it to `to`.
-  void route(ResourceId r, NodeId to, net::MessagePtr message, Epoch tag);
+  /// GateHost: frames the message (stamped with the sending world's
+  /// epoch) and ships it to `to`.
+  void route(ResourceId r, NodeId from, NodeId to, net::MessagePtr message,
+             Epoch tag) override;
   void on_frame(const FrameHeader& header, net::MessagePtr message);
   void on_peer_down(NodeId peer);
   /// REPAIR from the elected winner: fence at the announced epoch, then
@@ -261,51 +252,22 @@ class DistributedLockSpace {
   /// to the strand and marks the target epoch installed. Caller holds
   /// `rs.mutex`.
   void install_world_locked(ResourceId r, RepairState& rs);
-  void mark_unavailable(ResourceId r);
-  /// Wakes resource `r`'s parked clients (paired with their predicate
-  /// check under client_mutex).
-  void wake_clients(ResourceId r);
-  void record_error(const std::string& what);
-  /// Records the error and releases every parked client thread.
-  void fail(const std::string& what);
-  LockError wait_for_grant(ResourceId r,
-                           const std::chrono::milliseconds* timeout);
+  /// Marks every resource unavailable and wakes its parked clients.
+  void mark_all_unavailable();
 
   DistributedLockSpaceConfig config_;
   service::Directory directory_;
-  exec::Executor executor_;
+  /// This process's gate per resource, indexed by ResourceId, and the
+  /// pool their strands run on. The gates' occupancy witness is the local
+  /// view; the multi-process harness adds a shared-memory one.
+  service::GateSet gates_;
   std::unique_ptr<EventLoop> loop_;
-  /// This process's state machine per resource, indexed by ResourceId.
-  std::vector<std::unique_ptr<ResourceNode>> nodes_;
   std::vector<std::unique_ptr<RepairState>> repair_;  // by ResourceId
-  std::unique_ptr<std::atomic<std::uint64_t>[]> entries_;
-  /// Local-view occupancy witness (complemented by the shared-memory
-  /// witness in the multi-process harness).
-  std::unique_ptr<std::atomic<int>[]> occupancy_;
-  /// Per-resource fence epoch, readable off the repair mutex (client
-  /// grant revalidation and frame admission read it lock-free).
-  std::unique_ptr<std::atomic<Epoch>[]> resource_epoch_;
-  /// Per-resource: no live majority (or recovery disabled) — the
-  /// resource can never grant again.
-  std::unique_ptr<std::atomic<bool>[]> unavailable_;
   /// Socket-liveness vector, by original node id; self is never down.
   std::unique_ptr<std::atomic<bool>[]> peer_down_;
   std::atomic<std::uint64_t> stale_frames_{0};
-  std::atomic<std::uint64_t> chained_grants_{0};
-  std::atomic<std::uint64_t> lease_yields_{0};
-  std::atomic<bool> failed_{false};
   std::atomic<bool> shut_down_{false};
-
-  mutable std::mutex error_mutex_;
-  std::optional<std::string> first_error_;
-
-  std::vector<ResourceTelemetry> resource_telemetry_;  // by ResourceId
-  telemetry::HistogramId hold_hist_;
-  telemetry::HistogramId chain_hist_;
   telemetry::HistogramId repair_hist_;
-  /// Interned kinds of token-carrying messages (one algorithm per space),
-  /// for flight-recording token forwards in route().
-  std::vector<net::MessageKind> token_kinds_;
 };
 
 /// RAII holder mirroring service::ScopedLock.

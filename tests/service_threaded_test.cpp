@@ -16,6 +16,7 @@
 #include "baselines/registry.hpp"
 #include "common/rng.hpp"
 #include "service/threaded_lock_space.hpp"
+#include "topology/tree.hpp"
 
 namespace dmx::service {
 namespace {
@@ -64,7 +65,7 @@ TEST(ThreadedLockSpace, PerResourceCountersHaveNoLostUpdates) {
   for (NodeId v = 1; v <= n; ++v) {
     threads.emplace_back([&space, &counters, v] {
       // Every node walks every resource: cross-resource traffic shares
-      // each node's one mailbox thread.
+      // one worker pool, each (resource, node) on its own strand.
       for (int i = 0; i < rounds; ++i) {
         for (ResourceId r = 0; r < m; ++r) {
           ScopedLock guard(space, r, v);
@@ -512,6 +513,183 @@ TEST(ThreadedLockSpace, TokenResidentAcquireRunsNoPoolTask) {
   EXPECT_EQ(space.entries(r), 100u);
   EXPECT_EQ(space.messages_sent(), 0u);
   EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
+}
+
+#if DMX_TELEMETRY
+TEST(ThreadedLockSpace, SnapshotRollsUpClientWait) {
+  // The gate records wait time on per-resource lanes only; the snapshot
+  // folds them into the process-wide client.wait_ns (1-in-8 sampled, so
+  // 80 entries on one thread leave ten samples).
+  ThreadedLockSpace space(make_config(2, 2));
+  for (int i = 0; i < 80; ++i) {
+    ScopedLock guard(space, ResourceId{i % 2}, NodeId{1 + i % 2});
+  }
+  const telemetry::MetricsSnapshot snap = space.telemetry_snapshot();
+  const telemetry::HistogramSnapshot* wait = snap.histogram("client.wait_ns");
+  ASSERT_NE(wait, nullptr);
+  EXPECT_GT(wait->count, 0u);
+}
+#endif  // DMX_TELEMETRY
+
+// ---- One resource: every algorithm, timeouts, topologies, message cost ----
+//
+// One-resource ThreadedLockSpace cases under the suite names Runtime and
+// RuntimeAllAlgorithms, kept stable so their results stay comparable
+// across the test history.
+
+/// One resource ("res/0") over `n` nodes on a random tree.
+ThreadedLockSpaceConfig one_resource(int n, const std::string& algorithm,
+                                     unsigned jitter_us = 0) {
+  ThreadedLockSpaceConfig config = make_config(n, 1, algorithm, jitter_us);
+  config.tree = topology::Tree::random_tree(n, 17);
+  return config;
+}
+
+class RuntimeAllAlgorithms
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RuntimeAllAlgorithms, SharedCounterHasNoLostUpdates) {
+  const int n = 5;
+  const int increments_per_node = 40;
+  ThreadedLockSpace space(one_resource(n, GetParam()));
+
+  long long counter = 0;  // deliberately unsynchronized
+  std::vector<std::thread> threads;
+  for (NodeId v = 1; v <= n; ++v) {
+    threads.emplace_back([&space, &counter, v] {
+      for (int i = 0; i < increments_per_node; ++i) {
+        ScopedLock guard(space, ResourceId{0}, v);
+        const long long read = counter;
+        std::this_thread::yield();  // widen the race window
+        counter = read + 1;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(counter, static_cast<long long>(n) * increments_per_node);
+  EXPECT_EQ(space.total_entries(),
+            static_cast<std::uint64_t>(n) * increments_per_node);
+  EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
+}
+
+TEST_P(RuntimeAllAlgorithms, JitteryDeliverySurvives) {
+  const int n = 4;
+  ThreadedLockSpace space(one_resource(n, GetParam(), /*jitter_us=*/200));
+  std::vector<std::thread> threads;
+  for (NodeId v = 1; v <= n; ++v) {
+    threads.emplace_back([&space, v] {
+      for (int i = 0; i < 10; ++i) {
+        space.lock(ResourceId{0}, v);
+        space.unlock(ResourceId{0}, v);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(space.total_entries(), 40u);
+  EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, RuntimeAllAlgorithms,
+    ::testing::Values("Neilsen", "Raymond", "Central", "Suzuki-Kasami",
+                      "Singhal", "Lamport", "Ricart-Agrawala",
+                      "Carvalho-Roucairol", "Maekawa"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
+TEST(Runtime, UncontendedLockIsReentrantFree) {
+  ThreadedLockSpace space(one_resource(3, "Neilsen"));
+  for (int i = 0; i < 100; ++i) {
+    space.lock(0, 1);
+    space.unlock(0, 1);
+  }
+  EXPECT_EQ(space.total_entries(), 100u);
+}
+
+TEST(Runtime, TryLockForSucceedsQuickly) {
+  ThreadedLockSpace space(one_resource(3, "Neilsen"));
+  EXPECT_EQ(space.try_lock_for(0, 2, std::chrono::milliseconds(2000)),
+            LockError::kOk);
+  space.unlock(0, 2);
+}
+
+TEST(Runtime, TryLockForTimesOutWhileBlocked) {
+  ThreadedLockSpace space(one_resource(3, "Neilsen"));
+  space.lock(0, 1);
+  EXPECT_EQ(space.try_lock_for(0, 2, std::chrono::milliseconds(50)),
+            LockError::kTimeout);
+  space.unlock(0, 1);
+  // The request is still outstanding and must eventually be granted.
+  space.lock(0, 2);
+  space.unlock(0, 2);
+  EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
+}
+
+TEST(Runtime, TryLockForTimeoutThenLockCompletesSameRequest) {
+  // Follow-up semantics of a remote try_lock_for timeout: the protocol
+  // request stays outstanding (requests cannot be cancelled), the grant
+  // that lands while no thread waits is handed back rather than lost, and
+  // a later lock() completes — exactly one entry, no double-posted
+  // request, no lost wakeup.
+  ThreadedLockSpace space(one_resource(3, "Neilsen"));
+  space.lock(0, 1);
+  EXPECT_EQ(space.try_lock_for(0, 2, std::chrono::milliseconds(50)),
+            LockError::kTimeout);
+  // Release while node 2 is NOT blocked in a wait.
+  space.unlock(0, 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  space.lock(0, 2);
+  EXPECT_EQ(space.total_entries(), 2u);  // holder's + exactly one for 2
+  space.unlock(0, 2);
+  // The outstanding-request bookkeeping is fully reset: a fresh cycle
+  // issues a new request and completes.
+  space.lock(0, 2);
+  space.unlock(0, 2);
+  EXPECT_EQ(space.total_entries(), 3u);
+  // A double-posted request would trip the protocol's one-outstanding-
+  // request precondition on the strand and surface here.
+  EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
+}
+
+TEST(Runtime, ManyNodesLineTopology) {
+  ThreadedLockSpaceConfig config = make_config(12, 1);
+  config.tree = topology::Tree::line(12);
+  ThreadedLockSpace space(std::move(config));
+  std::vector<std::thread> threads;
+  for (NodeId v = 1; v <= 12; ++v) {
+    threads.emplace_back([&space, v] {
+      for (int i = 0; i < 5; ++i) ScopedLock guard(space, ResourceId{0}, v);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(space.total_entries(), 60u);
+  EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
+}
+
+TEST(Runtime, MessageCountingMatchesProtocolCost) {
+  // Star topology, token at the hub: locking from the hub is free;
+  // locking from a leaf costs exactly REQUEST + PRIVILEGE.
+  ThreadedLockSpaceConfig config = make_config(4, 1);
+  Directory placement(4, config.directory_vnodes, config.seed);
+  const NodeId hub = placement.home_node(placement.open(config.resources[0]));
+  config.tree = topology::Tree::star(4, hub);
+  ThreadedLockSpace space(std::move(config));
+  ASSERT_EQ(space.home_node(0), hub);  // Neilsen's initial token holder
+
+  space.lock(0, hub);
+  space.unlock(0, hub);
+  EXPECT_EQ(space.messages_sent(), 0u);
+
+  const NodeId leaf = hub == 1 ? 2 : 1;
+  space.lock(0, leaf);
+  space.unlock(0, leaf);
+  EXPECT_EQ(space.messages_sent(), 2u);  // REQUEST + PRIVILEGE
 }
 
 }  // namespace

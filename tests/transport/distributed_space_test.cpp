@@ -2,8 +2,9 @@
 // rendezvous loopback ports through the harness pipes, and witness
 // cross-process mutual exclusion through the MAP_SHARED occupancy
 // counters. The registry sweep runs every implemented algorithm over
-// loopback TCP — the transport-substrate leg of the DESIGN.md
-// substitution argument.
+// loopback TCP — the transport-substrate leg of the substitution argument
+// (proto/mutex_node.hpp): unchanged protocol handlers on a third
+// substrate.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -264,6 +265,87 @@ TEST(DistributedLockSpace, EpochBumpMidWaitKeepsDeadline) {
   EXPECT_EQ(space.try_lock_for(r, 50ms), LockError::kTimeout);
   space.shutdown();
 }
+
+TEST(DistributedLockSpace, ColocatedClientsChainGrants) {
+  // The TCP leg of the gate's local chaining: two client threads share
+  // node 1, and the first holder keeps the section until its sibling is
+  // parked behind it, so its release must hand the CS straight over (a
+  // chained grant, or a renewed lease) instead of a wire round. Node 2
+  // joins the contention once that first hand-off is done. Exit codes:
+  // 6 no chained grant, 7 the sibling never parked.
+  const int n = 2;
+  const int iterations = 20;
+  const HarnessResult result = ProcessHarness::run(
+      n,
+      [n](NodeId self, const ProcessHarness::Rendezvous& rendezvous,
+          SharedWitness& shared) -> int {
+        DistributedLockSpace space(make_config(self, n, "Neilsen", {"res"}));
+        if (!bring_up(space, rendezvous)) return 2;
+        const ResourceId r = space.lookup("res");
+        const auto critical_section = [&space, &shared, r, self] {
+          space.lock(r);
+          shared.enter(r, self);
+          shared.exit(r);
+          space.unlock(r);
+        };
+        int code = 0;
+        if (self == 1) {
+          space.lock(r);
+          shared.enter(r, self);
+          std::thread sibling([&critical_section] {
+            for (int i = 0; i < iterations; ++i) critical_section();
+          });
+          const auto deadline = std::chrono::steady_clock::now() + 10s;
+          while (space.local_waiters(r) < 1 &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+          if (space.local_waiters(r) < 1) code = 7;
+          shared.exit(r);
+          space.unlock(r);
+          shared.slots[kFlagSlot].store(1);
+          for (int i = 1; i < iterations; ++i) critical_section();
+          sibling.join();
+          if (code == 0 && space.chained_grants() == 0) code = 6;
+        } else {
+          while (shared.slots[kFlagSlot].load() == 0) {
+            std::this_thread::sleep_for(1ms);
+          }
+          for (int i = 0; i < iterations; ++i) critical_section();
+        }
+        done_barrier(shared, n);
+        if (space.first_error().has_value()) return 3;
+        space.shutdown();
+        return code;
+      });
+  ASSERT_TRUE(result.all_ok()) << "exit codes: " << result.exit_codes[1]
+                               << " " << result.exit_codes[2];
+  EXPECT_EQ(result.witness.violations, 0);
+  EXPECT_EQ(result.witness.entries,
+            static_cast<std::uint64_t>(3 * iterations));
+}
+
+#if DMX_TELEMETRY
+TEST(DistributedLockSpace, SnapshotRollsUpClientWait) {
+  // Parity with ThreadedLockSpace: the per-resource wait lanes fold into
+  // the process-wide client.wait_ns at snapshot time (1-in-8 sampled, so
+  // 80 entries on one thread leave ten samples).
+  DistributedLockSpace space(make_config(1, 1, "Neilsen", {"res"}));
+  space.listen();
+  space.start();
+  const ResourceId r = space.lookup("res");
+  for (int i = 0; i < 80; ++i) {
+    space.lock(r);
+    space.unlock(r);
+  }
+  const telemetry::MetricsSnapshot snap = space.telemetry_snapshot();
+  const telemetry::HistogramSnapshot* wait = snap.histogram("client.wait_ns");
+  ASSERT_NE(wait, nullptr);
+  EXPECT_GT(wait->count, 0u);
+  EXPECT_EQ(space.total_entries(), 80u);
+  space.shutdown();
+}
+#endif  // DMX_TELEMETRY
 
 }  // namespace
 }  // namespace dmx::transport
