@@ -15,12 +15,18 @@
 // queues. post() submits a claimed activation to the pool. A caller that
 // enqueue()s may instead run the claimed activation on its own thread
 // (run_claimed()), skipping the pool hop: the lock service's client
-// gates do this for request and release, so an acquire whose token rests
-// at the caller is granted inside its own call. Either way an activation
-// drains up to kBatch tasks, then yields its thread and requeues itself
-// through the executor's fair global queue so one hot strand cannot
-// monopolize a thread or starve its deque neighbours. Strands that a
-// caller-run task posts to are still scheduled on the pool.
+// gates do this for request and release. While a caller-run activation
+// is draining, a post() that claims another strand does not submit it
+// either: the claim goes onto a small per-thread FIFO, and run_claimed()
+// runs those activations one after another, on the same thread, before
+// it returns (a trampoline, so no recursion). An acquire therefore runs
+// its REQUEST on an idle remote strand, and the PRIVILEGE sent back, inside
+// its own call. Each call claims at most kTrampolineBudget extra
+// activations; posts beyond that, and every post from a pool worker or
+// any other thread, go to the pool. Every activation drains up to kBatch
+// tasks, then yields its thread and requeues itself through the
+// executor's fair global queue so one hot strand cannot monopolize a
+// thread or starve its deque neighbours.
 //
 // The serialization guarantee doubles as the memory fence: task i's
 // effects are published to task i+1 (possibly on another thread) through
@@ -70,6 +76,9 @@ class Strand {
   /// Tasks drained per activation before the strand yields its thread and
   /// requeues fairly.
   static constexpr int kBatch = 32;
+  /// Activations of other strands one run_claimed() call may take over
+  /// from its own tasks' posts before further claims go to the pool.
+  static constexpr int kTrampolineBudget = 16;
 
   explicit Strand(Executor& executor) : executor_(executor) {
     pool_task_.run = &Strand::run_activation;
@@ -81,9 +90,17 @@ class Strand {
 
   ~Strand() = default;
 
-  /// Enqueues `task`; schedules the strand on the pool iff it was idle.
+  /// Enqueues `task`; schedules the strand iff it was idle: on the
+  /// calling thread's trampoline when a caller-run activation is draining
+  /// there and has budget left, otherwise on the pool.
   void post(Task task) {
-    if (enqueue(std::move(task))) submit_claimed();
+    if (!enqueue(std::move(task))) return;
+    Trampoline& t = trampoline_;
+    if (t.open && t.tail < kTrampolineBudget) {
+      t.fifo[t.tail++] = this;
+    } else {
+      submit_claimed();
+    }
   }
 
   /// Enqueues `task` and returns whether the caller claimed the strand's
@@ -100,8 +117,17 @@ class Strand {
 
   /// Runs a claimed activation on the calling thread: the same drain a
   /// pool worker would make, up to kBatch tasks, with the rest requeued
-  /// to the pool. The caller must hold no lock a task may take.
-  void run_claimed() { run(); }
+  /// to the pool. Then runs, in claim order, the activations its tasks'
+  /// posts claimed on this thread (and theirs, within the budget). The
+  /// caller must hold no lock a task may take; tasks must not call it.
+  void run_claimed() {
+    Trampoline& t = trampoline_;
+    t.open = true;
+    t.head = t.tail = 0;
+    run();
+    while (t.head < t.tail) t.fifo[t.head++]->run();
+    t.open = false;
+  }
 
   /// Hands a claimed activation to the pool instead.
   void submit_claimed() { executor_.submit(&pool_task_); }
@@ -111,6 +137,16 @@ class Strand {
   std::uint64_t executed() const { return executed_; }
 
  private:
+  /// Per-thread claims taken by posts inside a caller-run activation.
+  /// Every claim uses up budget, so the FIFO never outgrows it.
+  struct Trampoline {
+    bool open = false;
+    int head = 0;
+    int tail = 0;
+    Strand* fifo[kTrampolineBudget] = {};
+  };
+  static thread_local Trampoline trampoline_;
+
   static void run_activation(void* context) {
     static_cast<Strand*>(context)->run();
   }
@@ -152,5 +188,7 @@ class Strand {
   bool active_ = false;
   std::uint64_t executed_ = 0;  // strand-confined
 };
+
+inline thread_local Strand::Trampoline Strand::trampoline_{};
 
 }  // namespace dmx::exec

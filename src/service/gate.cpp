@@ -8,6 +8,12 @@
 
 namespace dmx::service {
 
+namespace {
+/// Set by on_grant when it woke a thread parked on its gate's condvar;
+/// unlock() clears it before running its strand and reads it after.
+thread_local bool tl_woke_parked = false;
+}  // namespace
+
 // --- Context ----------------------------------------------------------------
 
 NodeId Gate::Context::self() const {
@@ -118,6 +124,7 @@ void Gate::on_grant() {
       granted_epoch_ = epoch_;
       grant_via_chain_ = false;
       hand_off = true;
+      if (parked_ > 0) tl_woke_parked = true;
     } else {
       // Nobody will consume this grant: every waiter timed out, or the
       // node crashed between request and grant. Hand the CS straight back
@@ -210,9 +217,10 @@ LockError Gate::lock(const std::chrono::milliseconds* timeout) {
         } else {
           // The strand was idle: run the request here instead of a pool
           // hop. With the token resting at this node, on_grant fires
-          // inside this call and the wait below never sleeps; a remote
-          // token is requested from this thread. Tasks take the client
-          // mutex, so it must be dropped meanwhile.
+          // inside this call and the wait below never sleeps; so it does
+          // for a remote token when the strands on its way are idle (the
+          // trampoline runs them here). Tasks take the client mutex, so
+          // it must be dropped meanwhile.
           guard.unlock();
           strand_.run_claimed();
           guard.lock();
@@ -222,14 +230,34 @@ LockError Gate::lock(const std::chrono::milliseconds* timeout) {
     const auto ready = [this, ticket, &doomed] {
       return (granted_ && fifo_.front() == ticket) || doomed();
     };
-    while (true) {
-      bool signalled = true;
+    // One condvar sleep, counted in parked_ so a waker can tell that it
+    // woke a sleeping thread; false once the deadline has passed.
+    bool slept = false;
+    const auto park = [&] {
+      if (!slept) {
+        slept = true;
+        set_.parked_waits_.fetch_add(1, std::memory_order_relaxed);
+      }
+      ++parked_;
+      bool in_time = true;
       if (timeout == nullptr) {
-        client_cv_.wait(guard, ready);
+        client_cv_.wait(guard);
       } else {
-        // Re-armed against the ORIGINAL deadline after every wake: a
-        // repair wakeup or a stale grant never extends the wait.
-        signalled = client_cv_.wait_until(guard, deadline, ready);
+        in_time = client_cv_.wait_until(guard, deadline) ==
+                  std::cv_status::no_timeout;
+      }
+      --parked_;
+      return in_time;
+    };
+    while (true) {
+      // Re-armed against the ORIGINAL deadline after every wake: a repair
+      // wakeup or a stale grant never extends the wait.
+      bool signalled = true;
+      while (!ready()) {
+        if (!park()) {
+          signalled = ready();
+          break;
+        }
       }
       if (!signalled) {
         // Deadline passed. The request stays posted; a grant arriving
@@ -325,6 +353,7 @@ bool Gate::unlock() {
   int ended_chain = 0;  // lease window closed at this length (0 = none)
   bool yielded_with_waiters = false;
   bool claimed = false;  // this thread owns the strand's activation
+  bool woke_parked = false;  // a hand-off woke a thread asleep in lock()
   {
     std::lock_guard<std::mutex> guard(client_mutex_);
     if (!held_) {
@@ -381,6 +410,7 @@ bool Gate::unlock() {
         granted_epoch_ = held_epoch_;
         grant_via_chain_ = true;
         chained = true;
+        woke_parked = parked_ > 0;
       }
     }
     if (!chained) {
@@ -398,8 +428,13 @@ bool Gate::unlock() {
     }
   }
   // The strand was idle: release here, off the client mutex, instead of a
-  // pool hop.
-  if (claimed) strand_.run_claimed();
+  // pool hop. The trampoline may carry the PRIVILEGE on to an idle
+  // waiter's strand and run its on_grant here too.
+  if (claimed) {
+    tl_woke_parked = false;
+    strand_.run_claimed();
+    woke_parked = tl_woke_parked;
+  }
   // Telemetry off the client mutex.
   if (hold_started_ns != 0 &&
       telemetry::sample_1_in_8<telemetry::SampleSite::kClientHold>()) {
@@ -415,6 +450,7 @@ bool Gate::unlock() {
     telemetry::FlightRecorder::record_at(
         release_ns, telemetry::FlightEvent::kChainGrant, resource_, self_,
         chain_arg);
+    if (woke_parked) handoff_yield();
     // No protocol release happened, so no repair deferred on this holder
     // can complete here: such a repair fenced the epoch first, which
     // disables chaining above.
@@ -428,7 +464,13 @@ bool Gate::unlock() {
         release_ns, telemetry::FlightEvent::kLeaseYield, resource_, self_,
         ended_chain);
   }
+  if (woke_parked) handoff_yield();
   return true;
+}
+
+void Gate::handoff_yield() {
+  set_.handoff_yields_.fetch_add(1, std::memory_order_relaxed);
+  std::this_thread::yield();
 }
 
 bool Gate::holding() {
@@ -545,6 +587,10 @@ telemetry::MetricsSnapshot GateSet::snapshot() const {
   snap.set_counter("exec.injector_polls", stats.injector_polls);
   snap.set_counter("client.chained_grants", chained_grants());
   snap.set_counter("client.lease_yields", lease_yields());
+  snap.set_counter("client.parked_waits",
+                   parked_waits_.load(std::memory_order_relaxed));
+  snap.set_counter("client.handoff_yields",
+                   handoff_yields_.load(std::memory_order_relaxed));
   // The hot path records wait time on the per-resource lane only; fold
   // the lanes into the process-wide view here, in cold code.
   snap.roll_up("client.wait_ns");

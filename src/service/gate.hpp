@@ -36,8 +36,26 @@
 // its activation and runs it itself once the mutex is dropped
 // (exec::Strand::enqueue / run_claimed). An acquire whose token rests at
 // the caller is thus granted inside its own call with no pool task and no
-// condvar sleep. No claimed activation may run under the client mutex:
-// on_grant, rerequest and fail all take it.
+// condvar sleep. The strands that run posts to claim ride the same
+// thread's trampoline (at most Strand::kTrampolineBudget of them per
+// call, the rest go to the pool), so a REQUEST to an idle remote strand
+// and the PRIVILEGE it sends back also run inside the caller's lock():
+// the grant fires before the caller would sleep. No claimed activation
+// may run under the client mutex: on_grant, rerequest and fail all take
+// it. The doomed path and every post from a pool worker, the TCP loop
+// thread or a repair still go through the pool.
+//
+// Hand-off yield: when an unlock's release wakes a waiter that is asleep
+// on a gate's condvar — on_grant run on this caller's trampoline, or a
+// chained hand-off — the caller yields its CPU once at the end of
+// unlock(), holding nothing of that gate. Without it, on one CPU the
+// releasing client keeps running, re-requests, and queues behind the very
+// waiter it woke, which cannot run until the releaser is preempted: a
+// convoy. With the trampoline but no yield, lockbench's acquire p99 read
+// 150–168 µs on threaded-spread (parent ~50 µs, with the yield ~1.2 µs)
+// and 95–109 µs on threaded-hot (parent ~64 µs), although only 1.6% of
+// spread's acquires parked. client.parked_waits counts acquires that
+// slept at least once; client.handoff_yields counts the yields.
 //
 // Lock order: a space's repair mutex before any gate's client mutex,
 // never the reverse.
@@ -197,6 +215,8 @@ class Gate {
   /// cap-expired lease may renew in place.
   void publish_remote_pending();
   void maybe_jitter();
+  /// Gives the CPU to the waiter this unlock just woke (see the header).
+  void handoff_yield();
 
   GateSet& set_;
   GateResource& res_;
@@ -222,6 +242,8 @@ class Gate {
   std::mutex client_mutex_;
   std::condition_variable client_cv_;
   int waiting_ = 0;
+  /// Waiters asleep on client_cv_ right now (a subset of waiting_).
+  int parked_ = 0;
   bool requested_ = false;
   /// A grant (protocol or chained) is pending, minted in granted_epoch_.
   /// A consumer revalidates that epoch against the resource's, so a grant
@@ -297,8 +319,9 @@ class GateSet {
   void shutdown() { executor_.shutdown(); }
 
   /// Every telemetry metric of the process, with the pool counters
-  /// (exec.*), the lease counters (client.*) and the process-wide
-  /// client.wait_ns roll-up of the per-resource wait lanes folded in.
+  /// (exec.*), the lease and wake-up counters (client.*) and the
+  /// process-wide client.wait_ns roll-up of the per-resource wait lanes
+  /// folded in.
   telemetry::MetricsSnapshot snapshot() const;
 
   std::uint64_t chained_grants() const {
@@ -328,6 +351,10 @@ class GateSet {
   std::vector<std::unique_ptr<Gate>> gates_;
   std::atomic<std::uint64_t> chained_grants_{0};
   std::atomic<std::uint64_t> lease_yields_{0};
+  /// Acquires that slept on their gate's condvar at least once, and
+  /// unlocks that yielded the CPU to a waiter they woke.
+  std::atomic<std::uint64_t> parked_waits_{0};
+  std::atomic<std::uint64_t> handoff_yields_{0};
   telemetry::HistogramId hold_hist_;
   telemetry::HistogramId chain_hist_;
 

@@ -277,12 +277,20 @@ void EventLoop::flush(Peer& peer) {
     std::lock_guard<std::mutex> guard(peer.out_mutex);
     if (peer.closed) return;
     while (!peer.outbox.empty()) {
-      const ssize_t n = ::send(peer.fd, peer.outbox.data(),
-                               peer.outbox.size(), MSG_NOSIGNAL);
-      if (n > 0) {
-        stats_.bytes_sent.fetch_add(static_cast<std::uint64_t>(n),
+      // Counted before the kernel can deliver the bytes, so a peer that
+      // has received a frame never reads a total that lacks it; whatever
+      // send() does not take is handed back below.
+      const std::size_t attempted = peer.outbox.size();
+      stats_.bytes_sent.fetch_add(attempted, std::memory_order_relaxed);
+      const ssize_t n =
+          ::send(peer.fd, peer.outbox.data(), attempted, MSG_NOSIGNAL);
+      const std::size_t taken = n > 0 ? static_cast<std::size_t>(n) : 0;
+      if (taken < attempted) {
+        stats_.bytes_sent.fetch_sub(attempted - taken,
                                     std::memory_order_relaxed);
-        peer.outbox.erase(0, static_cast<std::size_t>(n));
+      }
+      if (n > 0) {
+        peer.outbox.erase(0, taken);
         continue;
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;

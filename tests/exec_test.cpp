@@ -9,6 +9,8 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -413,6 +415,178 @@ TEST(StrandTest, CallerClaimantRacingWorkerPostsKeepsOrderWithoutOverlap) {
     ++next[seen.source];
   }
   EXPECT_GE(claims, 1);
+
+  // The same race with the app thread's posts trampolined: each one comes
+  // from a task of a claimed activation on `hopper`, so whenever the
+  // target is idle the app thread claims and runs it on its trampoline,
+  // while the feeder's pool tasks keep posting to the same target.
+  Executor executor2(ExecutorConfig{4, 16});
+  Strand target2(executor2);
+  Strand feeder2(executor2);
+  Strand hopper(executor2);
+  struct Ran {
+    int source;
+    int seq;
+    bool on_caller;
+  };
+  std::vector<Ran> order2;  // written only by target2 tasks
+  order2.reserve(2 * kTasksPerSource);
+  std::atomic<int> in_flight2{0};
+  std::atomic<int> overlaps2{0};
+  std::atomic<int> executed2{0};
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto task2 = [&](int source, int seq) {
+    return [&, source, seq] {
+      if (in_flight2.fetch_add(1) != 0) overlaps2.fetch_add(1);
+      order2.push_back(
+          Ran{source, seq, std::this_thread::get_id() == caller});
+      in_flight2.fetch_sub(1);
+      executed2.fetch_add(1);
+    };
+  };
+  const auto hop = [&](int seq) {
+    // The hopper is only ever run here, so every enqueue claims it.
+    ASSERT_TRUE(hopper.enqueue([&target2, &task2, seq] {
+      target2.post(task2(0, seq));
+    }));
+    hopper.run_claimed();
+  };
+  // The target is idle before the race starts: the first hop must run
+  // the target's activation on this thread's trampoline.
+  hop(0);
+  for (int i = 0; i < kTasksPerSource; ++i) {
+    feeder2.post([&target2, &task2, i] { target2.post(task2(1, i)); });
+  }
+  for (int i = 1; i < kTasksPerSource; ++i) hop(i);
+
+  const auto deadline2 =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (executed2.load() < 2 * kTasksPerSource &&
+         std::chrono::steady_clock::now() < deadline2) {
+    std::this_thread::yield();
+  }
+  executor2.shutdown();
+
+  EXPECT_EQ(overlaps2.load(), 0);
+  ASSERT_EQ(order2.size(), static_cast<std::size_t>(2 * kTasksPerSource));
+  int next2[2] = {0, 0};
+  int trampolined = 0;
+  for (const Ran& ran : order2) {
+    ASSERT_EQ(ran.seq, next2[ran.source]) << "source " << ran.source;
+    ++next2[ran.source];
+    if (ran.on_caller) ++trampolined;
+  }
+  EXPECT_TRUE(order2.front().on_caller);
+  EXPECT_GE(trampolined, 1);
+}
+
+TEST(StrandTest, CallerRunPostsToIdleStrandsRunOnTheCallerInPostOrder) {
+  // A task of a caller-claimed activation posts to two idle strands.
+  // Both claims ride the caller's trampoline: they run on the caller's
+  // thread, in post order, before run_claimed returns, and the pool runs
+  // nothing.
+  Executor executor(ExecutorConfig{1, 8});
+  Strand origin(executor);
+  Strand first(executor);
+  Strand second(executor);
+
+  struct Ran {
+    int strand;
+    std::thread::id thread;
+  };
+  std::vector<Ran> ran;  // every task below runs on the caller's thread
+  const auto record = [&ran](int strand) {
+    return [&ran, strand] {
+      ran.push_back(Ran{strand, std::this_thread::get_id()});
+    };
+  };
+  ASSERT_TRUE(origin.enqueue([&] {
+    first.post(record(1));
+    second.post(record(2));
+    ran.push_back(Ran{0, std::this_thread::get_id()});
+  }));
+  const std::uint64_t pool_tasks = executor.stats().tasks_executed;
+  origin.run_claimed();
+  const std::uint64_t pool_tasks_after = executor.stats().tasks_executed;
+  executor.shutdown();  // nothing may still be writing `ran` below
+
+  EXPECT_EQ(pool_tasks_after, pool_tasks);
+  ASSERT_EQ(ran.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(ran[static_cast<std::size_t>(i)].strand, i);
+    EXPECT_EQ(ran[static_cast<std::size_t>(i)].thread,
+              std::this_thread::get_id());
+  }
+}
+
+TEST(StrandTest, TrampolineBeyondItsBudgetHandsTheRestToThePool) {
+  // Strand i's second task posts two tasks to strand i+1, along a chain
+  // longer than the trampoline budget. The first kTrampolineBudget claims
+  // run on the caller's thread; the claim after that, and every post the
+  // pool then makes, go to the pool. Every task runs exactly once and each
+  // strand sees its two tasks in post order.
+  constexpr int kChain = Strand::kTrampolineBudget + 8;
+  Executor executor(ExecutorConfig{2, 8});
+  std::vector<std::unique_ptr<Strand>> chain;
+  for (int i = 0; i < kChain; ++i) {
+    chain.push_back(std::make_unique<Strand>(executor));
+  }
+
+  struct Ran {
+    int strand;
+    int seq;
+    std::thread::id thread;
+  };
+  std::mutex log_mutex;  // the caller and the pool both append
+  std::vector<Ran> log;
+  std::atomic<int> executed{0};
+  const auto record = [&](int strand, int seq) {
+    std::lock_guard<std::mutex> guard(log_mutex);
+    log.push_back(Ran{strand, seq, std::this_thread::get_id()});
+    executed.fetch_add(1);
+  };
+  // Posts strand i's two tasks; the second one continues the chain.
+  std::function<void(int)> post_pair = [&](int i) {
+    chain[static_cast<std::size_t>(i)]->post([&record, i] { record(i, 0); });
+    chain[static_cast<std::size_t>(i)]->post([&record, &post_pair, i] {
+      record(i, 1);
+      if (i + 1 < kChain) post_pair(i + 1);
+    });
+  };
+  ASSERT_TRUE(chain[0]->enqueue([&record] { record(0, 0); }));
+  ASSERT_FALSE(chain[0]->enqueue([&record, &post_pair] {
+    record(0, 1);
+    post_pair(1);
+  }));
+  chain[0]->run_claimed();
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (executed.load() < 2 * kChain &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  executor.shutdown();  // workers count a task after it returns
+  const std::uint64_t pool_tasks = executor.stats().tasks_executed;
+
+  ASSERT_EQ(log.size(), static_cast<std::size_t>(2 * kChain));
+  std::vector<int> next(static_cast<std::size_t>(kChain), 0);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const Ran& ran : log) {
+    EXPECT_EQ(ran.seq, next[static_cast<std::size_t>(ran.strand)])
+        << "strand " << ran.strand;
+    ++next[static_cast<std::size_t>(ran.strand)];
+    if (ran.strand <= Strand::kTrampolineBudget) {
+      EXPECT_EQ(ran.thread, caller) << "strand " << ran.strand;
+    } else {
+      EXPECT_NE(ran.thread, caller) << "strand " << ran.strand;
+    }
+  }
+  for (int i = 0; i < kChain; ++i) {
+    EXPECT_EQ(next[static_cast<std::size_t>(i)], 2) << "strand " << i;
+  }
+  EXPECT_GE(pool_tasks,
+            static_cast<std::uint64_t>(kChain - 1 - Strand::kTrampolineBudget));
 }
 
 TEST(StrandTest, ClaimedDrainStopsAtBatchAndRequeuesTheRest) {

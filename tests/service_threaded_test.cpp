@@ -4,6 +4,7 @@
 // mutual-exclusion witness — lost updates would make a final count fall
 // short.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <chrono>
@@ -513,6 +514,142 @@ TEST(ThreadedLockSpace, TokenResidentAcquireRunsNoPoolTask) {
   EXPECT_EQ(space.entries(r), 100u);
   EXPECT_EQ(space.messages_sent(), 0u);
   EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
+}
+
+TEST(ThreadedLockSpace, RemoteAcquireOnAQuiescentSpaceRunsNoPoolTask) {
+  // The paper's remote entry: one REQUEST to the holder, one PRIVILEGE
+  // back. On a quiescent space both destination strands are idle, so the
+  // caller's own lock() runs the REQUEST at the holder and the PRIVILEGE
+  // at home on its trampoline: the grant lands before the caller would
+  // sleep, and no pool task runs.
+  ThreadedLockSpaceConfig config = make_config(2, 1);
+  config.workers = 1;
+  ThreadedLockSpace space(std::move(config));
+  const ResourceId r = 0;
+  const NodeId holder = space.home_node(r);
+  const NodeId caller = holder == 1 ? 2 : 1;
+  const auto counter = [&space](const char* name) {
+    return space.telemetry_snapshot().counter(name);
+  };
+  const std::uint64_t pool_tasks = counter("exec.tasks_executed");
+  ASSERT_EQ(space.try_lock_for(r, caller, std::chrono::seconds(5)),
+            LockError::kOk);
+  space.unlock(r, caller);
+  EXPECT_EQ(counter("exec.tasks_executed"), pool_tasks);
+  EXPECT_EQ(counter("client.parked_waits"), 0u);
+  EXPECT_EQ(counter("client.handoff_yields"), 0u);
+  EXPECT_EQ(space.messages_sent(), 2u);
+  EXPECT_EQ(space.entries(r), 1u);
+  EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
+}
+
+TEST(ThreadedLockSpace, ReleaseToAParkedRemoteWaiterYieldsOnce) {
+  // A remote waiter that parked behind the holder is woken by the
+  // holder's unlock, which runs the PRIVILEGE's delivery on its own
+  // trampoline and then yields the CPU once to the thread it woke.
+  ThreadedLockSpaceConfig config = make_config(2, 1);
+  config.workers = 1;
+  ThreadedLockSpace space(std::move(config));
+  const ResourceId r = 0;
+  const NodeId holder = space.home_node(r);
+  const NodeId remote = holder == 1 ? 2 : 1;
+  const auto counter = [&space](const char* name) {
+    return space.telemetry_snapshot().counter(name);
+  };
+  const std::uint64_t pool_tasks = counter("exec.tasks_executed");
+  space.lock(r, holder);
+  std::thread waiter([&space, r, remote] {
+    ASSERT_EQ(space.try_lock_for(r, remote, std::chrono::seconds(30)),
+              LockError::kOk);
+    space.unlock(r, remote);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (counter("client.parked_waits") < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(counter("client.parked_waits"), 1u) << "the waiter never parked";
+  space.unlock(r, holder);
+  waiter.join();
+  EXPECT_EQ(counter("client.handoff_yields"), 1u);
+  EXPECT_EQ(counter("client.parked_waits"), 1u);
+  EXPECT_EQ(counter("exec.tasks_executed"), pool_tasks);
+  EXPECT_EQ(space.entries(r), 2u);
+  EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
+}
+
+TEST(ThreadedLockSpace, OneCpuClosedLoopStressKeepsExclusionExact) {
+  // Every thread of this test shares one CPU: the runner pins itself, and
+  // the pool workers and clients it starts inherit its mask. There, a
+  // client that holds the CPU runs whole protocol rounds on its own
+  // trampoline while the others wait to be scheduled, and a parked waiter
+  // depends on the hand-off yield to get the CPU back.
+  constexpr int kNodes = 4;
+  constexpr int kResources = 64;
+  std::thread runner([] {
+    cpu_set_t allowed;
+    CPU_ZERO(&allowed);
+    ASSERT_EQ(sched_getaffinity(0, sizeof allowed, &allowed), 0);
+    int cpu = 0;
+    while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &allowed)) ++cpu;
+    ASSERT_LT(cpu, CPU_SETSIZE);
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+
+    ThreadedLockSpaceConfig config = make_config(kNodes, kResources);
+    config.workers = 2;
+    ThreadedLockSpace space(std::move(config));
+    // Unsynchronized per-resource counters: a lost update means two
+    // clients were inside one resource at once.
+    std::vector<long long> counters(kResources, 0);
+    std::vector<std::uint64_t> entries(kNodes, 0);  // one slot per client
+    std::atomic<int> not_ok{0};
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> clients;
+    for (NodeId v = 1; v <= kNodes; ++v) {
+      clients.emplace_back([&, v] {
+        Rng rng(static_cast<std::uint64_t>(v) * 7919);
+        std::uint64_t& mine = entries[static_cast<std::size_t>(v) - 1];
+        while (!stop.load(std::memory_order_relaxed)) {
+          const auto r =
+              static_cast<ResourceId>(rng.uniform_int(0, kResources - 1));
+          if (space.try_lock_for(r, v, std::chrono::seconds(2)) !=
+              LockError::kOk) {
+            not_ok.fetch_add(1);
+            continue;
+          }
+          ++counters[static_cast<std::size_t>(r)];
+          ++mine;
+          space.unlock(r, v);
+        }
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    stop.store(true);
+    for (auto& client : clients) client.join();
+
+    std::uint64_t client_entries = 0;
+    for (const std::uint64_t e : entries) client_entries += e;
+    long long witnessed = 0;
+    for (const long long c : counters) witnessed += c;
+    EXPECT_GT(client_entries, 0u);
+    EXPECT_EQ(not_ok.load(), 0);
+    EXPECT_EQ(space.total_entries(), client_entries);
+    EXPECT_EQ(static_cast<std::uint64_t>(witnessed), client_entries);
+    EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
+    // Counted per acquire and per unlock: a yield needs a parked waiter
+    // (one client per node, so one waiter per gate), and nearly every
+    // message runs on a client's trampoline instead of the pool.
+    const telemetry::MetricsSnapshot snap = space.telemetry_snapshot();
+    const std::uint64_t parked = snap.counter("client.parked_waits");
+    EXPECT_LE(parked, client_entries);
+    EXPECT_LE(snap.counter("client.handoff_yields"), parked);
+    EXPECT_LT(snap.counter("exec.tasks_executed") * 2, client_entries);
+  });
+  runner.join();
 }
 
 #if DMX_TELEMETRY
