@@ -39,25 +39,29 @@ void Gate::Context::send(NodeId to, net::MessagePtr message) {
       break;
     }
   }
-  gate_.set_.host_.route(gate_.resource_, gate_.self_, to_original,
-                         std::move(message), gate_.epoch_);
+  gate_.host_.route(gate_.resource_, gate_.self_, to_original,
+                    std::move(message), gate_.epoch_);
 }
 
 // --- Strand tasks -----------------------------------------------------------
 
-Gate::Gate(GateSet& set, GateResource& resource, ResourceId id, NodeId self,
-           std::uint64_t seed, std::unique_ptr<proto::MutexNode> node)
-    : set_(set), res_(resource), resource_(id), self_(self),
+Gate::Gate(GateSet& set, GateHost& host, GateResource& resource,
+           ResourceId id, NodeId self, std::uint64_t seed,
+           std::unique_ptr<proto::MutexNode> node)
+    : set_(set), host_(host), res_(resource), resource_(id), self_(self),
       strand_(set.executor_), node_(std::move(node)), rng_(seed),
       context_(*this) {}
 
-bool Gate::fenced(Epoch tag) const {
-  return tag != epoch_ || down.load(std::memory_order_relaxed);
-}
+bool Gate::fenced(Epoch tag) const { return tag != epoch_; }
 
 void Gate::deliver(Epoch tag, NodeId from, net::MessagePtr message) {
   if (set_.failed.load(std::memory_order_relaxed)) return;
   if (fenced(tag)) return;
+  if (membership_ != nullptr && !membership_->contains(from)) {
+    set_.record_error("frame from node " + std::to_string(from) +
+                      " outside the world of resource " + res_.name);
+    return;
+  }
   try {
     maybe_jitter();
     node_->on_message(context_,
@@ -119,16 +123,15 @@ void Gate::on_grant() {
   bool hand_off = false;
   {
     std::lock_guard<std::mutex> guard(client_mutex_);
-    if (!down.load(std::memory_order_relaxed) && waiting_ > 0) {
+    if (waiting_ > 0) {
       granted_ = true;
       granted_epoch_ = epoch_;
       grant_via_chain_ = false;
       hand_off = true;
       if (parked_ > 0) tl_woke_parked = true;
     } else {
-      // Nobody will consume this grant: every waiter timed out, or the
-      // node crashed between request and grant. Hand the CS straight back
-      // so the resource keeps flowing.
+      // Nobody will consume this grant: every waiter timed out or gave
+      // up. Hand the CS straight back so the resource keeps flowing.
       requested_ = false;
     }
   }
@@ -194,12 +197,11 @@ LockError Gate::lock(const std::chrono::milliseconds* timeout) {
     // condvar wake.
     const std::uint64_t ticket = ticket_seq_++;
     fifo_.push(ticket);
-    // No grant is coming: the space failed, or this node or the resource
-    // is dead.
+    // No grant is coming: the space failed, or the resource is dead at
+    // this node.
     const auto doomed = [this] {
       return set_.failed.load(std::memory_order_relaxed) ||
-             down.load(std::memory_order_relaxed) ||
-             res_.unavailable.load(std::memory_order_relaxed);
+             unavailable.load(std::memory_order_relaxed);
     };
     // One protocol request at a time: the first local waiter requests;
     // later waiters ride local hand-off (unlock enqueues the next request
@@ -208,7 +210,7 @@ LockError Gate::lock(const std::chrono::milliseconds* timeout) {
     // would only be discarded by the strand.
     if (!requested_ && !held_ && !granted_) {
       requested_ = true;
-      const Epoch tag = res_.epoch.load(std::memory_order_acquire);
+      const Epoch tag = fence.load(std::memory_order_acquire);
       if (strand_.enqueue([this, tag] { request(tag); })) {
         if (doomed()) {
           // Keep the client mutex until the first predicate check below,
@@ -278,7 +280,7 @@ LockError Gate::lock(const std::chrono::milliseconds* timeout) {
         // the world this grant came from, in which case the regenerated
         // token supersedes it and entering would break exclusion. The
         // repair's re-request covers us; keep waiting.
-        if (granted_epoch_ != res_.epoch.load(std::memory_order_acquire)) {
+        if (granted_epoch_ != fence.load(std::memory_order_acquire)) {
           granted_ = false;
           continue;
         }
@@ -300,8 +302,7 @@ LockError Gate::lock(const std::chrono::milliseconds* timeout) {
         }
         break;
       }
-      const bool dead = down.load(std::memory_order_relaxed) ||
-                        res_.unavailable.load(std::memory_order_relaxed);
+      const bool dead = unavailable.load(std::memory_order_relaxed);
       const bool failed = set_.failed.load(std::memory_order_relaxed);
       if (dead || failed) {
         --waiting_;
@@ -357,10 +358,9 @@ bool Gate::unlock() {
   {
     std::lock_guard<std::mutex> guard(client_mutex_);
     if (!held_) {
-      // After a crash the holder's world may have been revoked under it
-      // (the node died in its CS, or a repair fenced its grant); the
+      // The node died in its CS and abandon() revoked the hold; the
       // zombie's unlock is a ghost, not an error.
-      if (set_.fault_seen.load(std::memory_order_relaxed)) return false;
+      if (abandoned_) return false;
       DMX_CHECK_MSG(false, "unlock of resource " << res_.name << " on node "
                                                  << self_
                                                  << " which does not hold it");
@@ -374,24 +374,23 @@ bool Gate::unlock() {
     res_.occupancy.fetch_sub(1);
     // Re-read here: if a repair fenced this world while we held, the
     // release is minted in the NEW epoch and drops itself.
-    const Epoch tag = res_.epoch.load(std::memory_order_acquire);
+    const Epoch tag = fence.load(std::memory_order_acquire);
     // Local grant chaining: with waiters parked on this node and the
     // lease not exhausted, hand the CS straight to the next one — one
     // condvar wake, zero protocol messages. Never across a fault: a
     // repair fences the holder's world (tag != held_epoch_) before it can
-    // defer on this holder, and a crash anywhere disables chaining
-    // outright (fault_seen).
+    // defer on this holder, and a chained grant minted just before the
+    // fence fails revalidation.
     if (waiting_ > 0 && tag == held_epoch_ &&
-        !set_.fault_seen.load(std::memory_order_relaxed) &&
         !set_.failed.load(std::memory_order_relaxed) &&
-        !res_.unavailable.load(std::memory_order_relaxed)) {
+        !unavailable.load(std::memory_order_relaxed)) {
       const LeaseConfig& lease = set_.lease_;
       int chain = chain_len_;
       const bool window_ok = lease.max_hold_ns == 0 ||
                              release_ns - chain_started_ns_ < lease.max_hold_ns;
       bool hand_off = window_ok && lease_chain_allowed(lease, chain);
       if (!hand_off && lease.max_chain != 0 &&
-          lease_renewable(lease, res_.holder_sees_remote_requests,
+          lease_renewable(lease, res_.algorithm.holder_sees_remote_requests,
                           remote_pending_.load(std::memory_order_relaxed))) {
         // Lease expired but the protocol instance can see that no remote
         // request is pending: renew in place instead of a pointless
@@ -490,10 +489,19 @@ void Gate::wake() {
   client_cv_.notify_all();
 }
 
+void Gate::mark_unavailable() {
+  if (!unavailable.exchange(true, std::memory_order_seq_cst)) {
+    unavailable_since_ns.store(telemetry::now_ns(), std::memory_order_relaxed);
+    telemetry::FlightRecorder::record(
+        telemetry::FlightEvent::kResourceUnavailable, resource_, self_);
+  }
+}
+
 void Gate::abandon() {
   bool was_held = false;
   {
     std::lock_guard<std::mutex> guard(client_mutex_);
+    abandoned_ = true;
     was_held = held_;
     held_ = false;
     granted_ = false;
@@ -509,20 +517,23 @@ void Gate::abandon() {
 
 // --- GateSet ----------------------------------------------------------------
 
-GateSet::GateSet(GateHost& host, int n, LeaseConfig lease, unsigned jitter_us,
+GateSet::GateSet(int n, LeaseConfig lease, unsigned jitter_us,
                  exec::ExecutorConfig executor)
-    : host_(host), n_(n), lease_(lease), jitter_us_(jitter_us),
-      executor_(executor) {
+    : n_(n), lease_(lease), jitter_us_(jitter_us), executor_(executor) {
   auto& registry = telemetry::Registry::global();
   hold_hist_ = registry.histogram("client.hold_ns");
   chain_hist_ = registry.histogram("client.chain_len");
+  repair_hist_ = registry.histogram("fault.repair_ns");
+  unavail_hist_ = registry.histogram("fault.unavail_window_ns");
 }
 
 GateResource& GateSet::add_resource(const std::string& name,
-                                    const proto::Algorithm& algorithm) {
+                                    const proto::Algorithm& algorithm,
+                                    NodeId home) {
   auto res = std::make_unique<GateResource>();
   res->name = name;
-  res->holder_sees_remote_requests = algorithm.holder_sees_remote_requests;
+  res->algorithm = algorithm;
+  res->home = algorithm.name == "Singhal" ? 1 : home;
   // Resolved here in cold code; the lock/unlock hot paths then record
   // through plain ids.
   auto& registry = telemetry::Registry::global();
@@ -537,10 +548,24 @@ GateResource& GateSet::add_resource(const std::string& name,
   return *resources_.back();
 }
 
-Gate& GateSet::add_gate(ResourceId r, NodeId self, std::uint64_t seed,
+std::vector<std::unique_ptr<proto::MutexNode>> GateSet::initial_world(
+    ResourceId r, const topology::Tree* tree, std::uint64_t seed) const {
+  const GateResource& res = resource(r);
+  proto::ClusterSpec spec;
+  spec.n = n_;
+  spec.initial_token_holder = res.home;
+  spec.tree = tree;
+  spec.seed = seed;
+  auto nodes = res.algorithm.factory(spec);
+  DMX_CHECK(nodes.size() == static_cast<std::size_t>(n_) + 1);
+  return nodes;
+}
+
+Gate& GateSet::add_gate(GateHost& host, ResourceId r, NodeId self,
+                        std::uint64_t seed,
                         std::unique_ptr<proto::MutexNode> node) {
-  gates_.push_back(std::make_unique<Gate>(*this, resource(r), r, self, seed,
-                                          std::move(node)));
+  gates_.push_back(std::make_unique<Gate>(*this, host, resource(r), r, self,
+                                          seed, std::move(node)));
   return *gates_.back();
 }
 
@@ -550,16 +575,6 @@ std::uint64_t GateSet::total_entries() const {
     sum += res->entries.load(std::memory_order_relaxed);
   }
   return sum;
-}
-
-void GateSet::mark_unavailable(ResourceId r) {
-  GateResource& res = resource(r);
-  if (!res.unavailable.exchange(true, std::memory_order_seq_cst)) {
-    res.unavailable_since_ns.store(telemetry::now_ns(),
-                                   std::memory_order_relaxed);
-    telemetry::FlightRecorder::record(
-        telemetry::FlightEvent::kResourceUnavailable, r);
-  }
 }
 
 void GateSet::record_error(const std::string& what) {

@@ -8,13 +8,14 @@
 // requests, later ones queue behind it in arrival (ticket) order, and a
 // release that finds co-located waiters may hand the critical section
 // straight to the next one under a bounded lease (service/lease.hpp)
-// instead of a protocol round. ThreadedLockSpace runs one gate per
-// (resource, node) pair of its in-process cluster; the TCP
-// DistributedLockSpace runs one gate per resource for the one node its
-// process hosts. The spaces differ only in data they set here — a
-// per-gate node-down flag (threaded crash()), a space-wide fault-seen
-// flag, the jitter bound — and in GateHost::route, which carries a
-// message to its destination gate: a sibling strand post or a wire frame.
+// instead of a protocol round. A service::NodeRuntime owns one gate per
+// resource for its node: the TCP DistributedLockSpace runs one runtime
+// per process, ThreadedLockSpace runs one runtime per node in process.
+// Every gate of a resource shares its GateResource (name, algorithm,
+// interned metric ids and the occupancy witness); what is per node — the
+// fence epoch and the unavailable flag — lives on the gate, because each
+// node fences on its own view of the world. A gate reaches other nodes
+// only through GateHost::route, which its runtime implements.
 //
 // Strand confinement: protocol state (the MutexNode, its epoch and
 // compact membership, the jitter Rng) is touched only by strand tasks,
@@ -23,13 +24,12 @@
 // the gate's client mutex.
 //
 // Epoch fencing: every protocol task carries the epoch it was minted in
-// and drops itself when that no longer matches the strand's (or the node
-// is down) — the thread-kill equivalent. A repair bumps the resource's
-// epoch first, so queued old-world work dies unobserved, then installs a
-// fresh compact-world instance with an unfenced reset task
-// (post_reset) that every later same-strand task observes. Grants are
-// revalidated against the epoch they were minted in before a waiter may
-// consume them.
+// and drops itself when that no longer matches the strand's — the
+// thread-kill equivalent. A repair raises the gate's fence epoch first,
+// so queued old-world work dies unobserved, then installs a fresh
+// compact-world instance with an unfenced reset task (post_reset) that
+// every later same-strand task observes. Grants are revalidated against
+// the fence before a waiter may consume them.
 //
 // Inline runs: the gate enqueues a request or release on the strand under
 // the client mutex; when that strand was idle the calling thread claims
@@ -57,7 +57,7 @@
 // spread's acquires parked. client.parked_waits counts acquires that
 // slept at least once; client.handoff_yields counts the yields.
 //
-// Lock order: a space's repair mutex before any gate's client mutex,
+// Lock order: a runtime's repair mutex before any gate's client mutex,
 // never the reverse.
 #pragma once
 
@@ -83,6 +83,7 @@
 #include "proto/mutex_node.hpp"
 #include "service/lease.hpp"
 #include "telemetry/telemetry.hpp"
+#include "topology/tree.hpp"
 
 namespace dmx::service {
 
@@ -98,10 +99,9 @@ enum class LockError {
   kUnavailable,
 };
 
-/// The owning space's message path. route() runs on the sending gate's
+/// The owning runtime's message path. route() runs on the sending gate's
 /// strand and carries `message` (minted in world `tag`) from node `from`
-/// to node `to`, both original ids: a sibling gate's post_deliver in
-/// process, a codec frame over TCP.
+/// to node `to`, both original ids.
 class GateHost {
  public:
   virtual void route(ResourceId r, NodeId from, NodeId to,
@@ -111,18 +111,15 @@ class GateHost {
   ~GateHost() = default;
 };
 
-/// Per-resource state every gate of the resource shares.
+/// Per-resource state every gate of the resource shares, built once per
+/// resource.
 struct GateResource {
   std::string name;
-  /// proto::Algorithm::holder_sees_remote_requests (lease renewal).
-  bool holder_sees_remote_requests = false;
-  /// Current reconfiguration epoch; requests and releases are tagged
-  /// with it and grants revalidated against it.
-  std::atomic<Epoch> epoch{0};
-  /// The resource can never grant again (no live majority, or its home
-  /// died with recovery disabled), and since when (0 = available).
-  std::atomic<bool> unavailable{false};
-  std::atomic<std::uint64_t> unavailable_since_ns{0};
+  /// The protocol; its factory also builds the worlds repairs install.
+  proto::Algorithm algorithm;
+  /// Initial token holder (the resource's home): with recovery disabled,
+  /// its crash leaves the resource unavailable.
+  NodeId home = kNilNode;
   /// Entry witness: occupancy is 0 or 1 while exclusion holds (as seen
   /// from this process); entries counts critical sections served.
   std::atomic<int> occupancy{0};
@@ -142,8 +139,9 @@ class GateSet;
 /// One (resource, node) state machine with its strand and client gate.
 class Gate {
  public:
-  Gate(GateSet& set, GateResource& resource, ResourceId id, NodeId self,
-       std::uint64_t seed, std::unique_ptr<proto::MutexNode> node);
+  Gate(GateSet& set, GateHost& host, GateResource& resource, ResourceId id,
+       NodeId self, std::uint64_t seed,
+       std::unique_ptr<proto::MutexNode> node);
 
   Gate(const Gate&) = delete;
   Gate& operator=(const Gate&) = delete;
@@ -155,8 +153,8 @@ class Gate {
   /// Leaves the critical section: hands it to the next local waiter under
   /// the lease, or releases into the protocol. Returns true iff it
   /// released into the protocol (the caller may then complete a repair
-  /// deferred on this holder). After a fault, a ghost unlock by a holder
-  /// whose world was revoked returns false.
+  /// deferred on this holder). After abandon(), a ghost unlock by the
+  /// holder it revoked returns false.
   bool unlock();
 
   /// Posts a message delivery from `from` (original id), fenced by `tag`.
@@ -175,13 +173,21 @@ class Gate {
   int local_waiters();
   /// Wakes parked waiters to re-check their predicates.
   void wake();
-  /// The node died in place (set `down` first): clears the client state,
-  /// retires a dead holder from the witness and wakes local waiters.
+  /// Flips the gate unavailable, stamping the window start once.
+  void mark_unavailable();
+  /// The node died in place: clears the client state, retires a dead
+  /// holder from the witness and wakes local waiters. The caller fences
+  /// the gate and marks it unavailable.
   void abandon();
 
-  /// The node is down: its tasks are fenced, grants are handed back and
-  /// waiters fail with kUnavailable. Only the threaded crash() sets it.
-  std::atomic<bool> down{false};
+  /// Highest epoch this node has fenced the resource at. Requests and
+  /// releases are tagged with it and grants revalidated against it.
+  std::atomic<Epoch> fence{0};
+  /// This node can never be granted the resource again (no live
+  /// majority, or its home died with recovery disabled), and since when
+  /// (0 = available). Its runtime clears it once a live majority returns.
+  std::atomic<bool> unavailable{false};
+  std::atomic<std::uint64_t> unavailable_since_ns{0};
 
  private:
   /// proto::Context for this state machine; used only from strand tasks.
@@ -219,6 +225,7 @@ class Gate {
   void handoff_yield();
 
   GateSet& set_;
+  GateHost& host_;
   GateResource& res_;
   const ResourceId resource_;
   const NodeId self_;
@@ -246,7 +253,7 @@ class Gate {
   int parked_ = 0;
   bool requested_ = false;
   /// A grant (protocol or chained) is pending, minted in granted_epoch_.
-  /// A consumer revalidates that epoch against the resource's, so a grant
+  /// A consumer revalidates that epoch against the fence, so a grant
   /// from a world a repair has since fenced is discarded instead of
   /// entering alongside the regenerated token.
   bool granted_ = false;
@@ -261,8 +268,11 @@ class Gate {
   std::uint64_t ticket_seq_ = 0;
   bool held_ = false;
   /// Epoch the holder's grant was minted in; a release chains only while
-  /// it still matches the resource's epoch (no repair since).
+  /// it still matches the fence (no repair since).
   Epoch held_epoch_ = 0;
+  /// abandon() revoked this gate's client state: a later unlock without a
+  /// hold is the dead holder's ghost, not a caller bug.
+  bool abandoned_ = false;
   /// telemetry::now_ns() when the holder entered (0 = not held).
   std::uint64_t hold_started_ns_ = 0;
   /// Consecutive local hand-offs in the current lease window, and when
@@ -274,12 +284,12 @@ class Gate {
 };
 
 /// Everything the gates of one lock space share: the worker pool their
-/// strands run on, per-resource state, the space-wide flags, lease
-/// counters and error slot.
+/// strands run on, per-resource state, the failure flag, lease counters
+/// and error slot.
 class GateSet {
  public:
   /// `n` is the cluster size of the initial world.
-  GateSet(GateHost& host, int n, LeaseConfig lease, unsigned jitter_us,
+  GateSet(int n, LeaseConfig lease, unsigned jitter_us,
           exec::ExecutorConfig executor);
   /// Stops the pool before the gates go away: workers finish their
   /// current task and queued strand tasks are destroyed unrun (captured
@@ -289,26 +299,32 @@ class GateSet {
   GateSet(const GateSet&) = delete;
   GateSet& operator=(const GateSet&) = delete;
 
-  /// Registers the next resource (ids are dense, in call order).
+  /// Registers the next resource (ids are dense, in call order), homed
+  /// at `home` (Singhal's staircase pins its token to node 1 instead).
   GateResource& add_resource(const std::string& name,
-                             const proto::Algorithm& algorithm);
-  /// Registers a gate; the space indexes gates in call order.
-  Gate& add_gate(ResourceId r, NodeId self, std::uint64_t seed,
-                 std::unique_ptr<proto::MutexNode> node);
+                             const proto::Algorithm& algorithm, NodeId home);
+  /// Resource `r`'s initial world: all n protocol instances (index 0
+  /// unused), the token at its home.
+  std::vector<std::unique_ptr<proto::MutexNode>> initial_world(
+      ResourceId r, const topology::Tree* tree, std::uint64_t seed) const;
+  /// Registers a gate that routes through `host`.
+  Gate& add_gate(GateHost& host, ResourceId r, NodeId self,
+                 std::uint64_t seed, std::unique_ptr<proto::MutexNode> node);
 
+  int nodes() const { return n_; }
+  int resource_count() const { return static_cast<int>(resources_.size()); }
   GateResource& resource(ResourceId r) {
     return *resources_[static_cast<std::size_t>(r)];
   }
   const GateResource& resource(ResourceId r) const {
     return *resources_[static_cast<std::size_t>(r)];
   }
+  /// Gates in registration order.
   Gate& gate(std::size_t index) { return *gates_[index]; }
-  const Gate& gate(std::size_t index) const { return *gates_[index]; }
+  exec::Executor& executor() { return executor_; }
   const exec::Executor& executor() const { return executor_; }
   std::uint64_t total_entries() const;
 
-  /// Flips resource `r` unavailable, stamping the window start once.
-  void mark_unavailable(ResourceId r);
   void record_error(const std::string& what);
   /// Records the error, then releases every parked application thread:
   /// no grant is ever coming once a protocol handler has thrown.
@@ -324,6 +340,11 @@ class GateSet {
   /// folded in.
   telemetry::MetricsSnapshot snapshot() const;
 
+  /// Repair latency as a waiting client saw it, and how long resources
+  /// stayed unavailable (fault.repair_ns, fault.unavail_window_ns).
+  telemetry::HistogramId repair_hist() const { return repair_hist_; }
+  telemetry::HistogramId unavail_hist() const { return unavail_hist_; }
+
   std::uint64_t chained_grants() const {
     return chained_grants_.load(std::memory_order_relaxed);
   }
@@ -333,16 +354,10 @@ class GateSet {
 
   /// A protocol handler threw somewhere in the space.
   std::atomic<bool> failed{false};
-  /// A crash was ever injected: chaining stops (repairs and token-loss
-  /// detection see a quiescing resource) and a revoked holder's unlock is
-  /// a tolerated ghost. The TCP space never sets it; its repairs fence
-  /// chaining through the epoch alone.
-  std::atomic<bool> fault_seen{false};
 
  private:
   friend class Gate;
 
-  GateHost& host_;
   const int n_;
   const LeaseConfig lease_;
   const unsigned jitter_us_;
@@ -357,6 +372,8 @@ class GateSet {
   std::atomic<std::uint64_t> handoff_yields_{0};
   telemetry::HistogramId hold_hist_;
   telemetry::HistogramId chain_hist_;
+  telemetry::HistogramId repair_hist_;
+  telemetry::HistogramId unavail_hist_;
 
   mutable std::mutex error_mutex_;
   std::optional<std::string> first_error_;

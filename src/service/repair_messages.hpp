@@ -1,21 +1,18 @@
-// Wire-level membership repair control messages.
+// Membership repair control messages (the protocol lives in
+// service/node_runtime.hpp).
 //
-// When a peer dies without GOODBYE, the elected regenerator (smallest
-// live node, iff a strict majority survives — quorum::elect_regenerator)
-// announces the repair with REPAIR: the fresh epoch and the compact
-// survivor membership, as original node ids in ascending order. Every
-// survivor fences its old world at the announced epoch and answers
-// REPAIR-ACK carrying the highest epoch it has adopted; the winner
-// installs the regenerated world — and thereby re-mints the token — only
-// once every survivor acked the target epoch and no local client still
-// holds the old-world critical section. An ack above the winner's own
-// target tells a lagging winner to re-announce past it (a prior winner
-// died mid-repair), which keeps epochs converging under repeated crashes.
+// REPAIR carries the winner's fresh epoch and the compact survivor
+// membership, as original node ids in ascending order. REPAIR-ACK carries
+// the highest epoch the acker has adopted: equal to the announced epoch
+// for a plain ack, above it when the acker is fenced past a lagging
+// winner, which must then announce again.
 //
 // Both families ride the ordinary frame path (they are addressed,
-// per-resource, epoch-stamped), but the space handles them directly on
-// the loop thread instead of posting them to the protocol strand: they
-// are ABOUT the world the strand runs, not traffic within it.
+// per-resource, epoch-stamped), but a runtime handles them directly
+// instead of posting them to the protocol strand: they are ABOUT the
+// world the strand runs, not traffic within it. Transports deliver them
+// off the sender's thread (the TCP loop thread, a pool task in process),
+// because the sender holds its repair mutex while it sends.
 #pragma once
 
 #include <string>
@@ -25,7 +22,7 @@
 #include "net/message.hpp"
 #include "net/wire_format.hpp"
 
-namespace dmx::transport {
+namespace dmx::service {
 
 class RepairMessage final : public net::Message {
  public:
@@ -115,4 +112,11 @@ class RepairAckMessage final : public net::Message {
   Epoch epoch_;
 };
 
-}  // namespace dmx::transport
+/// Whether `message` is a repair control frame rather than protocol
+/// traffic.
+inline bool is_repair_control(const net::Message& message) {
+  return message.kind_id() == RepairMessage::interned_kind() ||
+         message.kind_id() == RepairAckMessage::interned_kind();
+}
+
+}  // namespace dmx::service

@@ -1,13 +1,15 @@
 // Multi-resource lock service on the multi-threaded runtime.
 //
-// Execution substrate: every (resource, node) protocol state machine is a
-// service::Gate (service/gate.hpp) with its own exec::Strand — a
+// The space is n service::NodeRuntimes (service/node_runtime.hpp), one
+// per node, over an in-process LoopbackTransport. Every (resource, node)
+// protocol state machine is a service::Gate with its own exec::Strand — a
 // serialized task queue — and all strands of all nodes share ONE
 // work-stealing worker pool (exec::Executor). Message delivery, request
 // and release are strand tasks, so each state machine keeps the paper's
 // one-event-at-a-time semantics while independent resources (even on the
-// same node) run in parallel across the pool. A message between two nodes
-// is a post onto the destination gate's strand.
+// same node) run in parallel across the pool. A message between two
+// nodes is the sender's MessagePtr admitted by the destination runtime
+// and posted onto the destination gate's strand.
 //
 // The client API is blocking: lock(r, v) parks the calling application
 // thread until node v holds resource r's critical section; ScopedLock is
@@ -18,9 +20,26 @@
 // and runs a request or release on the caller's own thread when its
 // strand is idle, so a token-resident acquire is granted inside the call.
 //
-// Faults: crash(v) sets the down flag of v's gates, and a repair bumps
-// the resource's epoch, installs fresh compact-world instances and
-// re-requests for parked waiters (maybe_repair).
+// The loopback: each node's runtime sends through its own
+// LoopbackTransport, which hands the sender's MessagePtr to the
+// destination runtime with no encoding and no allocation. Protocol frames
+// are admitted on the sending thread, so the destination strand's post
+// rides the sender's trampoline (exec/strand.hpp) and a remote acquire on
+// a quiescent space completes inside lock(). Repair control frames go
+// through the destination's inbox strand, which always runs on the pool —
+// the in-process counterpart of the TCP loop thread — because the sender
+// holds its repair mutex while it sends.
+//
+// Faults: crash(v) kills v's runtime in place (every resource fenced and
+// unavailable at v, a hold it had is retired from the witness) and cuts
+// v's links, which raises on_peer_down on both sides — the path a TCP EOF
+// takes. The survivors then run the same REPAIR/ACK ballot the TCP space
+// ships. recover(v) relinks v and raises on_peers_up at every survivor, so
+// each fences the world it outgrew (or announces the next), then hands v
+// its whole view in one on_peers_up; one more ballot re-admits it. With
+// recovery disabled, a crash leaves the resources homed at the dead node
+// unavailable at every node, and every resource unavailable at a node
+// without a live majority.
 //
 // Safety instrumentation: per-resource occupancy counters assert that no
 // two nodes are ever inside one resource's critical section (violations
@@ -31,7 +50,6 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -39,12 +57,13 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "fault/membership.hpp"
+#include "exec/strand.hpp"
 #include "proto/algorithm.hpp"
 #include "proto/mutex_node.hpp"
 #include "service/directory.hpp"
 #include "service/gate.hpp"
 #include "service/lease.hpp"
+#include "service/node_runtime.hpp"
 #include "telemetry/telemetry.hpp"
 #include "topology/tree.hpp"
 
@@ -85,9 +104,11 @@ struct ThreadedLockSpaceConfig {
   LeaseConfig lease;
 };
 
-class ThreadedLockSpace final : private GateHost {
+class ThreadedLockSpace final {
  public:
   explicit ThreadedLockSpace(ThreadedLockSpaceConfig config);
+  /// Stops the pool before the runtimes and links its tasks use go away.
+  ~ThreadedLockSpace() { gates_.shutdown(); }
 
   ThreadedLockSpace(const ThreadedLockSpace&) = delete;
   ThreadedLockSpace& operator=(const ThreadedLockSpace&) = delete;
@@ -95,7 +116,6 @@ class ThreadedLockSpace final : private GateHost {
   int nodes() const { return config_.n; }
   int resource_count() const { return directory_.resource_count(); }
   int workers() const { return gates_.executor().workers(); }
-  const Directory& directory() const { return directory_; }
 
   ResourceId lookup(std::string_view name) const {
     return directory_.lookup(name);
@@ -123,18 +143,20 @@ class ThreadedLockSpace final : private GateHost {
   /// recovery enabled — the survivors elect a regenerator and every
   /// resource is rebuilt over the compact survivor world.
   void crash(NodeId v);
-  /// The crashed node rejoins; with recovery enabled, every resource is
-  /// repaired over the enlarged membership (fresh epoch, re-minted token).
+  /// The crashed node's links return; with recovery enabled, every
+  /// resource is repaired over the enlarged membership (fresh epoch,
+  /// re-minted token).
   void recover(NodeId v);
   bool is_node_up(NodeId v) const;
-  /// Reconfiguration epoch of resource `r` (0 until the first repair).
+  /// Fence epoch of resource `r` at node `v` (0 until its first repair).
+  Epoch epoch(ResourceId r, NodeId v) const;
+  /// The highest fence epoch of resource `r` over the live nodes.
   Epoch epoch(ResourceId r) const;
 
   std::uint64_t total_entries() const;
   std::uint64_t entries(ResourceId r) const;
-  std::uint64_t messages_sent() const {
-    return messages_sent_.load(std::memory_order_relaxed);
-  }
+  /// Protocol messages sent by every node (repair control excluded).
+  std::uint64_t messages_sent() const;
   /// Releases that handed the CS straight to a co-located waiter without
   /// a protocol round, and lease windows that closed with local waiters
   /// still queued (the token went back to the protocol anyway — the
@@ -155,60 +177,38 @@ class ThreadedLockSpace final : private GateHost {
   telemetry::MetricsSnapshot telemetry_snapshot() const;
 
  private:
-  /// Per-resource repair bookkeeping; `mutex` serializes repairs against
-  /// each other and against the holder checks in unlock(). Taken before
-  /// any gate's client mutex, never the reverse.
-  struct RepairState {
-    std::mutex mutex;
-    /// Repair requested while a live survivor held the lock; the holder's
-    /// unlock completes it.
-    bool pending = false;
-    /// When the stale membership was first observed (0 = no repair in
-    /// flight); spans deferred repairs, so fault.repair_ns measures the
-    /// client-visible regeneration latency, not just the install step.
-    std::uint64_t repair_started_ns = 0;
-    /// Membership of the resource's current epoch (empty = identity).
-    fault::Membership membership;
-    /// Repair topologies, kept alive for the instances referencing them.
-    std::vector<std::unique_ptr<topology::Tree>> trees;
+  /// Node v's end of the in-process medium, and its runtime.
+  class LoopbackTransport final : public Transport {
+   public:
+    LoopbackTransport(ThreadedLockSpace& space, NodeId self);
+    void send_frame(NodeId to, Epoch epoch, ResourceId resource,
+                    net::MessagePtr message) override;
+
+    NodeRuntime runtime;
+    /// Repair control frames to this node, run on the pool in order.
+    exec::Strand inbox;
+    /// Frames to and from a cut node are dropped.
+    std::atomic<bool> linked{true};
+
+   private:
+    ThreadedLockSpace& space_;
   };
 
-  std::size_t gate_index(ResourceId r, NodeId v) const {
-    return static_cast<std::size_t>(r) * static_cast<std::size_t>(config_.n) +
-           static_cast<std::size_t>(v) - 1;
+  LoopbackTransport& node(NodeId v) {
+    return *nodes_[static_cast<std::size_t>(v) - 1];
   }
-  Gate& gate(ResourceId r, NodeId v) { return gates_.gate(gate_index(r, v)); }
-  const Gate& gate(ResourceId r, NodeId v) const {
-    return gates_.gate(gate_index(r, v));
+  const LoopbackTransport& node(NodeId v) const {
+    return *nodes_[static_cast<std::size_t>(v) - 1];
   }
-  /// GateHost: a message between nodes is a post onto the destination
-  /// gate's strand; traffic to and from a dead node is dropped.
-  void route(ResourceId r, NodeId from, NodeId to, net::MessagePtr message,
-             Epoch tag) override;
-  /// Repairs resource `r` if its membership is stale: elects a winner by
-  /// quorum consent, bumps the epoch (fencing every queued old-world
-  /// task), installs fresh compact-world instances via per-strand reset
-  /// tasks, and re-issues requests for nodes with parked waiters. Defers
-  /// (pending) while a live node holds the lock; marks the resource
-  /// unavailable when no live majority exists.
-  void maybe_repair(ResourceId r);
-  /// Wakes every parked waiter of resource `r` (predicate re-check).
-  void wake_all(ResourceId r);
+  NodeRuntime& runtime(NodeId v) { return node(v).runtime; }
+  const NodeRuntime& runtime(NodeId v) const { return node(v).runtime; }
+  void check(ResourceId r, NodeId v) const;
 
   ThreadedLockSpaceConfig config_;
   Directory directory_;
-  std::vector<proto::Algorithm> algorithms_;  // by ResourceId
-  std::vector<std::unique_ptr<RepairState>> repair_;  // by ResourceId
-  /// Initial token holder by ResourceId (the resource's "home" for
-  /// token-loss detection when recovery is disabled).
-  std::vector<NodeId> initial_holder_;
-  std::atomic<std::uint64_t> messages_sent_{0};
-  telemetry::HistogramId repair_hist_;
-  telemetry::HistogramId unavail_hist_;
-  /// The (resource, node) gates, indexed r * n + (v - 1), and the pool
-  /// their strands run on. Declared last so the pool stops before the
-  /// repair trees and counters its tasks use are destroyed.
+  /// Per-resource state, the gates and the pool their strands run on.
   GateSet gates_;
+  std::vector<std::unique_ptr<LoopbackTransport>> nodes_;  // node v at v - 1
 };
 
 /// RAII holder: locks on construction, unlocks on destruction. Move-only.

@@ -14,7 +14,7 @@
 #include "baselines/suzuki_kasami.hpp"
 #include "common/check.hpp"
 #include "core/messages.hpp"
-#include "transport/repair_messages.hpp"
+#include "service/repair_messages.hpp"
 
 namespace dmx::transport {
 
@@ -33,6 +33,8 @@ using baselines::SinghalTokenMessage;
 using baselines::SkRequestMessage;
 using baselines::SkToken;
 using baselines::SkTokenMessage;
+using service::RepairAckMessage;
+using service::RepairMessage;
 
 /// Reads an enum discriminant and rejects values outside [0, limit).
 std::uint8_t enum_field(net::WireReader& r, std::uint8_t limit,

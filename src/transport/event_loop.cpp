@@ -13,6 +13,7 @@
 #include <cstring>
 
 #include "common/check.hpp"
+#include "service/repair_messages.hpp"
 #include "telemetry/flight_recorder.hpp"
 
 namespace dmx::transport {
@@ -251,6 +252,12 @@ bool EventLoop::send(NodeId to, Epoch epoch, ResourceId resource,
   return true;
 }
 
+void EventLoop::send_frame(NodeId to, Epoch epoch, ResourceId resource,
+                           net::MessagePtr message) {
+  send(to, epoch, resource, *message,
+       /*block_on_backpressure=*/!service::is_repair_control(*message));
+}
+
 std::optional<std::string> EventLoop::first_error() const {
   std::lock_guard<std::mutex> guard(error_mutex_);
   return first_error_;
@@ -380,9 +387,11 @@ bool EventLoop::drain_frames(Peer& peer) {
       const FrameHeader header = Codec::decode_header(r);
       if (header.wire_id >= kControlWireIdBase) {
         if (header.wire_id == kHelloWireId) {
-          DMX_CHECK_MSG(peer.id == kNilNode || peer.id == header.from,
-                        "peer " << peer.id << " re-identified as "
-                                << header.from);
+          if (peer.id != kNilNode && peer.id != header.from) {
+            record_error("peer " + std::to_string(peer.id) +
+                         " re-identified as " + std::to_string(header.from));
+            return false;
+          }
           peer.id = header.from;
           std::shared_ptr<Peer> self_ref = peers_by_fd_.at(peer.fd);
           bool held = false;
@@ -420,6 +429,13 @@ bool EventLoop::drain_frames(Peer& peer) {
           return false;
         }
         continue;
+      }
+      if (peer.id == kNilNode || header.from != peer.id ||
+          header.to != config_.self) {
+        record_error("peer " + std::to_string(peer.id) +
+                     " sent a frame from node " + std::to_string(header.from) +
+                     " to node " + std::to_string(header.to));
+        return false;
       }
       net::MessagePtr message = Codec::decode(header.wire_id, r);
       stats_.frames_received.fetch_add(1, std::memory_order_relaxed);

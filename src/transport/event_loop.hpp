@@ -11,7 +11,10 @@
 // Peer identity: the mesh convention is that node i dials every peer
 // j < i and accepts connections from every j > i (no duplicate links).
 // A dialed peer is identified immediately; an accepted one is anonymous
-// until its HELLO control frame arrives. send() to a peer that has not
+// until its HELLO control frame arrives. A protocol frame from a peer
+// that has not identified itself, a frame whose header names another
+// sender, or a second HELLO naming another id is a forgery: the peer is
+// torn down and an error recorded. send() to a peer that has not
 // identified itself yet fails — unless the loop knows the mesh
 // (EventLoopConfig::mesh_size) and the peer is a member it has never
 // seen: then the frame is held and flushed, ahead of later frames, when
@@ -28,8 +31,8 @@
 // Disconnects: a peer that closes its socket after sending GOODBYE left
 // deliberately (process shutdown); anything else — EOF without GOODBYE,
 // a socket error, a malformed frame — is a crash, reported through
-// on_peer_down so the space above can fence the dead node exactly like
-// the in-process fault path does.
+// on_peer_down to the node's runtime (service/node_runtime.hpp), which
+// repairs around it exactly as it does for a cut in-process link.
 #pragma once
 
 #include <atomic>
@@ -47,6 +50,7 @@
 
 #include "common/types.hpp"
 #include "net/message.hpp"
+#include "service/transport.hpp"
 #include "transport/codec.hpp"
 
 namespace dmx::transport {
@@ -80,7 +84,8 @@ struct EventLoopConfig {
   int mesh_size = 0;
 };
 
-class EventLoop {
+/// The TCP service::Transport: send_frame encodes onto the peer's socket.
+class EventLoop final : public service::Transport {
  public:
   /// Delivery of one decoded protocol frame. Runs on the loop thread —
   /// hand the message to a strand or queue, do not block.
@@ -129,6 +134,12 @@ class EventLoop {
   /// net::WireError for a message class with no registered codec.
   bool send(NodeId to, Epoch epoch, ResourceId resource,
             const net::Message& message, bool block_on_backpressure = true);
+
+  /// service::Transport: send() that never blocks on a repair control
+  /// frame (its sender holds a repair mutex this loop's thread may need).
+  /// A frame to a peer that is gone is dropped.
+  void send_frame(NodeId to, Epoch epoch, ResourceId resource,
+                  net::MessagePtr message) override;
 
   const EventLoopStats& stats() const { return stats_; }
 

@@ -146,6 +146,46 @@ TEST(ThreadedLockSpaceFault, CrashWhileHolderInCsDefersRepairUntilUnlock) {
   EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
 }
 
+TEST(ThreadedLockSpaceFault, WinnerCrashMidRepairConverges) {
+  // The elected regenerator dies while its first ballot is in flight:
+  // the next smallest survivor runs a higher ballot, and every survivor
+  // converges on its world.
+  ThreadedLockSpaceConfig config = fault_config(5, "Neilsen", true);
+  ThreadedLockSpace space(std::move(config));
+  const ResourceId r = space.lookup("res/0");
+  const NodeId home = space.home_node(r);
+  const NodeId winner = home == 1 ? 2 : 1;  // smallest survivor
+
+  space.crash(home);
+  space.crash(winner);
+  std::vector<NodeId> survivors;
+  for (NodeId v = 1; v <= 5; ++v) {
+    if (v != home && v != winner) survivors.push_back(v);
+  }
+  ASSERT_EQ(survivors.size(), 3u);
+  for (const NodeId v : survivors) {
+    ASSERT_EQ(space.try_lock_for(r, v, 10000ms), LockError::kOk) << v;
+    space.unlock(r, v);
+  }
+  // A late ack can still raise a ballot after the last grant; wait for
+  // the fences to settle, then require one epoch everywhere.
+  const auto settled = [&] {
+    for (const NodeId v : survivors) {
+      if (space.epoch(r, v) != space.epoch(r, survivors[0])) return false;
+    }
+    return true;
+  };
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (!settled() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  for (const NodeId v : survivors) {
+    EXPECT_EQ(space.epoch(r, v), space.epoch(r)) << v;
+  }
+  EXPECT_GE(space.epoch(r), Epoch{1});
+  EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
+}
+
 TEST(ThreadedLockSpaceFault, TimeoutLeavesRequestConsumableByNextWaiter) {
   // No faults at all: a pure bounded-wait exercise. A waiter that times
   // out must not wedge the (resource, node) gate for later waiters.

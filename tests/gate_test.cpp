@@ -1,7 +1,8 @@
 // Tests for the client gate (service/gate.hpp) on its own: two gates of
-// one Neilsen resource over an in-process loopback host, the same wiring
-// ThreadedLockSpace uses, driven with stimuli the spaces can only produce
-// through timing — an epoch bump mid-wait, a ghost unlock.
+// one Neilsen resource over a minimal in-process host that posts every
+// message straight to the destination strand, driven with stimuli the
+// spaces can only produce through timing — an epoch bump mid-wait, a
+// ghost unlock.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -32,18 +33,18 @@ class LoopbackHost final : public GateHost {
 /// One Neilsen resource over two nodes; the token starts at node 1.
 struct TwoNodeGates {
   TwoNodeGates()
-      : set(host, 2, LeaseConfig{}, /*jitter_us=*/0,
+      : set(2, LeaseConfig{}, /*jitter_us=*/0,
             exec::ExecutorConfig{/*workers=*/1, /*spin=*/64}) {
     host.set = &set;
     const proto::Algorithm algorithm = baselines::algorithm_by_name("Neilsen");
-    set.add_resource("res", algorithm);
+    set.add_resource("res", algorithm, /*home=*/1);
     proto::ClusterSpec spec;
     spec.n = 2;
     spec.initial_token_holder = 1;
     spec.tree = &tree;
     auto nodes = algorithm.factory(spec);
     for (NodeId v = 1; v <= 2; ++v) {
-      set.add_gate(0, v, static_cast<std::uint64_t>(v),
+      set.add_gate(host, 0, v, static_cast<std::uint64_t>(v),
                    std::move(nodes[static_cast<std::size_t>(v)]));
     }
   }
@@ -71,7 +72,7 @@ TEST(ClientGate, EpochBumpMidWaitKeepsDeadline) {
   });
   std::this_thread::sleep_for(100ms);
   // The repair stimulus, with no world installed behind the new epoch.
-  gates.set.resource(0).epoch.store(1, std::memory_order_seq_cst);
+  node1.fence.store(1, std::memory_order_seq_cst);
   node1.wake();
   std::this_thread::sleep_for(100ms);
   node1.wake();
@@ -113,10 +114,10 @@ TEST(ClientGate, UnlockReportsWhetherItReleasedIntoTheProtocol) {
   sibling.join();
   EXPECT_EQ(gates.set.chained_grants(), 1u);
 
-  // An unlock without a hold is a caller bug until a fault is seen; then
-  // it is a ghost of a revoked holder, tolerated and reported as such.
+  // An unlock without a hold is a caller bug until the node is abandoned;
+  // then it is a ghost of a revoked holder, tolerated and reported as such.
   EXPECT_THROW(node1.unlock(), std::logic_error);
-  gates.set.fault_seen.store(true);
+  node1.abandon();
   EXPECT_FALSE(node1.unlock());
 
   EXPECT_EQ(gates.set.resource(0).entries.load(), 3u);

@@ -354,6 +354,74 @@ TEST(EventLoop, CorruptStreamTearsThePeerDown) {
   loop.stop();
 }
 
+TEST(EventLoop, ForgedSenderTearsThePeerDown) {
+  // A peer identified as node 2 sends a frame claiming to come from node
+  // 3: the frame is not delivered, the error is recorded, and the peer is
+  // reported down.
+  Sink sink;
+  EventLoop loop({.self = 1}, sink.frame_handler(), sink.down_handler());
+  const std::uint16_t port = loop.listen();
+  loop.start();
+
+  RawClient client(port);
+  std::string bytes;
+  Codec::encode_control_frame(bytes, kHelloWireId, /*from=*/2);
+  Codec::encode_frame(bytes, /*epoch=*/0, /*resource=*/0, /*from=*/3,
+                      /*to=*/1, core::RequestMessage(3, 3));
+  client.write_all(bytes);
+
+  ASSERT_TRUE(sink.wait_down(2000ms));
+  EXPECT_EQ(sink.downs[0], 2);
+  EXPECT_TRUE(sink.frames.empty());
+  ASSERT_TRUE(loop.first_error().has_value());
+  loop.stop();
+}
+
+TEST(EventLoop, HelloNamingAnotherIdTearsThePeerDown) {
+  // A peer identified as node 2 sends a second HELLO as node 3: it is torn
+  // down and reported down as node 2, and the loop keeps running.
+  Sink sink;
+  EventLoop loop({.self = 1}, sink.frame_handler(), sink.down_handler());
+  const std::uint16_t port = loop.listen();
+  loop.start();
+
+  RawClient client(port);
+  std::string bytes;
+  Codec::encode_control_frame(bytes, kHelloWireId, /*from=*/2);
+  Codec::encode_control_frame(bytes, kHelloWireId, /*from=*/3);
+  client.write_all(bytes);
+
+  ASSERT_TRUE(sink.wait_down(2000ms));
+  EXPECT_EQ(sink.downs[0], 2);
+  ASSERT_TRUE(loop.first_error().has_value());
+  loop.stop();
+}
+
+TEST(EventLoop, ProtocolFrameBeforeHelloIsRejected) {
+  Sink sink;
+  EventLoop loop({.self = 1}, sink.frame_handler(), sink.down_handler());
+  const std::uint16_t port = loop.listen();
+  loop.start();
+
+  RawClient client(port);
+  std::string bytes;
+  Codec::encode_frame(bytes, /*epoch=*/0, /*resource=*/0, /*from=*/2,
+                      /*to=*/1, core::RequestMessage(2, 2));
+  client.write_all(bytes);
+
+  // The anonymous peer is torn down; nothing is delivered and, having
+  // never identified itself, it is not reported as a crashed node.
+  const auto deadline = std::chrono::steady_clock::now() + 2000ms;
+  while (!loop.first_error().has_value() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_TRUE(loop.first_error().has_value());
+  EXPECT_FALSE(sink.wait_down(100ms));
+  EXPECT_TRUE(sink.frames.empty());
+  loop.stop();
+}
+
 TEST(EventLoop, UnknownWireIdIsRejectedNotDelivered) {
   Sink sink;
   EventLoop loop({.self = 1}, sink.frame_handler(), sink.down_handler());

@@ -21,7 +21,7 @@
 #include "core/messages.hpp"
 #include "net/wire_format.hpp"
 #include "transport/codec.hpp"
-#include "transport/repair_messages.hpp"
+#include "service/repair_messages.hpp"
 
 namespace dmx::transport {
 namespace {
@@ -39,6 +39,8 @@ using baselines::SinghalTokenMessage;
 using baselines::SkRequestMessage;
 using baselines::SkToken;
 using baselines::SkTokenMessage;
+using service::RepairAckMessage;
+using service::RepairMessage;
 
 /// A corpus of distinct messages per family: every pair of corpus entries
 /// is behaviorally different, so encodings must differ pairwise.
