@@ -189,6 +189,7 @@ LockError Gate::lock(const std::chrono::milliseconds* timeout) {
           ? std::chrono::steady_clock::now() + *timeout
           : std::chrono::steady_clock::time_point::max();
   std::uint64_t grant_ns = 0;
+  int prev_occupancy = 0;
   {
     std::unique_lock<std::mutex> guard(client_mutex_);
     ++waiting_;
@@ -290,6 +291,9 @@ LockError Gate::lock(const std::chrono::milliseconds* timeout) {
         fifo_.pop();
         held_ = true;
         held_epoch_ = granted_epoch_;
+        // Exclusivity witness, counted under the client mutex so that an
+        // abandon() racing this entry retires only what it counted.
+        prev_occupancy = res_.occupancy.fetch_add(1);
         // One clock read serves three consumers: the hold-time stamp, the
         // wait histogram, and the grant flight event.
         grant_ns = telemetry::now_ns();
@@ -324,13 +328,13 @@ LockError Gate::lock(const std::chrono::milliseconds* timeout) {
       // keep waiting against the original deadline.
     }
   }
-  // Exclusivity witness: the grant just consumed must be the only
-  // occupancy of this resource the space can see.
-  const int prev = res_.occupancy.fetch_add(1);
-  if (prev != 0) {
+  // The grant just consumed must be the only occupancy of this resource
+  // the space can see.
+  if (prev_occupancy != 0) {
     set_.record_error("mutual exclusion violated on resource " + res_.name +
                       ": node " + std::to_string(self_) +
-                      " entered while occupancy was " + std::to_string(prev));
+                      " entered while occupancy was " +
+                      std::to_string(prev_occupancy));
   }
   res_.entries.fetch_add(1, std::memory_order_relaxed);
   // Per-resource lane only; the process-wide "client.wait_ns" is rolled

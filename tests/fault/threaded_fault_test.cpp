@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -183,6 +184,71 @@ TEST(ThreadedLockSpaceFault, WinnerCrashMidRepairConverges) {
     EXPECT_EQ(space.epoch(r, v), space.epoch(r)) << v;
   }
   EXPECT_GE(space.epoch(r), Epoch{1});
+  EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
+}
+
+TEST(ThreadedLockSpaceFault, CrashRecoverChurnKeepsExclusionAndRejoins) {
+  // Crash and recover random nodes (never more than two of five down)
+  // under contention, for several rounds of repair and rejoin. A node is
+  // crashed only while its client is outside lock() and its critical
+  // section, so every entry is a real one: no update may be lost, and
+  // once everyone is back every node locks every resource again.
+  constexpr int kNodes = 5;
+  constexpr int kResources = 3;
+  ThreadedLockSpaceConfig config = fault_config(kNodes, "Neilsen", true);
+  config.resources = {"res/0", "res/1", "res/2"};
+  ThreadedLockSpace space(std::move(config));
+  std::vector<std::mutex> client_mutex(kNodes + 1);
+  std::vector<long long> counters(kResources, 0);
+  std::atomic<long long> entries{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> clients;
+  for (NodeId v = 1; v <= kNodes; ++v) {
+    clients.emplace_back([&, v] {
+      for (unsigned i = static_cast<unsigned>(v); !stop.load(); i += 7) {
+        const ResourceId r = static_cast<ResourceId>(i % kResources);
+        std::lock_guard<std::mutex> guard(client_mutex[v]);
+        if (space.try_lock_for(r, v, 20ms) != LockError::kOk) continue;
+        const long long read = counters[static_cast<std::size_t>(r)];
+        std::this_thread::yield();
+        counters[static_cast<std::size_t>(r)] = read + 1;
+        entries.fetch_add(1);
+        space.unlock(r, v);
+      }
+    });
+  }
+  std::vector<bool> down(kNodes + 1, false);
+  int down_count = 0;
+  for (int round = 0; round < 40; ++round) {
+    std::this_thread::sleep_for(5ms);
+    const NodeId v = static_cast<NodeId>(round * 3 % kNodes) + 1;
+    if (down[static_cast<std::size_t>(v)]) {
+      space.recover(v);
+      down[static_cast<std::size_t>(v)] = false;
+      --down_count;
+    } else if (down_count < 2) {
+      std::lock_guard<std::mutex> guard(client_mutex[v]);
+      space.crash(v);
+      down[static_cast<std::size_t>(v)] = true;
+      ++down_count;
+    }
+  }
+  for (NodeId v = 1; v <= kNodes; ++v) {
+    if (down[static_cast<std::size_t>(v)]) space.recover(v);
+  }
+  stop.store(true);
+  for (auto& client : clients) client.join();
+
+  long long total = 0;
+  for (const long long c : counters) total += c;
+  EXPECT_EQ(total, entries.load());
+  for (ResourceId r = 0; r < kResources; ++r) {
+    for (NodeId v = 1; v <= kNodes; ++v) {
+      ASSERT_EQ(space.try_lock_for(r, v, 5000ms), LockError::kOk)
+          << "resource " << r << " node " << v;
+      space.unlock(r, v);
+    }
+  }
   EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
 }
 
