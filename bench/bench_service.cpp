@@ -9,20 +9,19 @@
 // popularity) pulls the service back toward the serialized regime as the
 // hot resources re-serialize their shard of the traffic.
 //
-// Two substrates:
-//  * deterministic sim — entries per kilotick of virtual time (exact,
-//    seed-reproducible; the scaling table);
-//  * threaded runtime — wall-clock entries per second, swept over
-//    resources x pool workers. Clients hold each lock for a small random
-//    sleep window (the real-time analogue of the sim workload's hold
-//    ticks — CS work in a lock service is the client's, not the
-//    service's, so it occupies time but not service CPU). A single
-//    resource serializes those windows end to end; independent resources
-//    overlap them across the strand pool until clients or cores
-//    saturate.
+// Two sections, both written by one run:
+//  * sim — the deterministic sim substrate, entries per kilotick of
+//    virtual time (exact, seed-reproducible; the scaling table);
+//  * lease_sweep — hot-shard chaining before/after on the threaded
+//    runtime, wall-clock entries per second over lease cap x skew.
 //
-//   $ ./bench_service [out.json]    # optional JSON snapshot path
-#include <algorithm>
+// Threaded and TCP wall-clock throughput at fixed workload points is
+// lockbench's job (`python3 lockbench/run.py`).
+//
+//   $ ./bench_service [--smoke] [out.json]
+//
+// --smoke shrinks both sections' targets so the fast test tier can run
+// the whole program in seconds.
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -79,79 +78,6 @@ SimPoint run_sim_point(int nodes, int resources, double zipf_s,
           result.entries_per_kilotick};
 }
 
-struct ThreadedPoint {
-  int nodes;
-  int resources;
-  int workers;
-  int clients_per_node;
-  double zipf_s;
-  unsigned hold_hi_us;
-  std::uint64_t entries;
-  double entries_per_second;
-};
-
-ThreadedPoint run_threaded_point(int nodes, int resources, int workers,
-                                 int clients_per_node, double zipf_s,
-                                 unsigned hold_hi_us,
-                                 std::uint64_t target_entries,
-                                 std::string* metrics_json = nullptr) {
-  service::ThreadedLockSpaceConfig config;
-  config.n = nodes;
-  config.algorithm = baselines::algorithm_by_name("Neilsen");
-  config.workers = workers;
-  for (int i = 0; i < resources; ++i) {
-    config.resources.push_back("bench/shard-" + std::to_string(i));
-  }
-  service::ThreadedLockSpace space(std::move(config));
-
-  const service::ZipfSampler zipf(resources, zipf_s);
-  std::atomic<std::uint64_t> claimed{0};
-  const auto started = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  for (NodeId v = 1; v <= nodes; ++v) {
-    for (int c = 0; c < clients_per_node; ++c) {
-      threads.emplace_back([&, v, c] {
-        Rng rng(static_cast<std::uint64_t>(v) * 100 +
-                static_cast<std::uint64_t>(c) + 1);
-        while (claimed.fetch_add(1, std::memory_order_relaxed) <
-               target_entries) {
-          const auto r = static_cast<ResourceId>(zipf.sample(rng));
-          service::ScopedLock guard(space, r, v);
-          if (hold_hi_us > 0) {
-            // The held-lock work window (e.g. a remote record update):
-            // wall time inside the CS, no service CPU.
-            const auto us = rng.uniform_int(
-                0, static_cast<std::int64_t>(hold_hi_us));
-            if (us > 0) {
-              std::this_thread::sleep_for(std::chrono::microseconds(us));
-            }
-          }
-        }
-      });
-    }
-  }
-  for (auto& thread : threads) thread.join();
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started)
-          .count();
-  if (auto error = space.first_error()) {
-    std::cerr << "threaded service error: " << *error << "\n";
-    std::exit(1);
-  }
-  if (metrics_json != nullptr) {
-    *metrics_json = space.telemetry_snapshot().to_json();
-  }
-  return {nodes,
-          resources,
-          workers,
-          clients_per_node,
-          zipf_s,
-          hold_hi_us,
-          space.total_entries(),
-          static_cast<double>(space.total_entries()) / seconds};
-}
-
 // ---- Lease sweep ------------------------------------------------------------
 // Hot-shard chaining before/after: the same saturated zero-hold workload
 // swept over lease caps (0 = chaining off — the pre-chaining baseline) at
@@ -182,6 +108,16 @@ struct LeasePoint {
   double jain_fairness;
 };
 
+/// The process-wide closed-window chain-length histogram, copied out of
+/// its snapshot (empty before the first window closes).
+telemetry::HistogramSnapshot chain_len_histogram() {
+  const telemetry::MetricsSnapshot snap =
+      telemetry::Registry::global().snapshot();
+  const telemetry::HistogramSnapshot* hist =
+      snap.histogram("client.chain_len");
+  return hist != nullptr ? *hist : telemetry::HistogramSnapshot{};
+}
+
 LeasePoint run_lease_point(int nodes, int resources, int workers,
                            int clients_per_node, double zipf_s,
                            int max_chain, unsigned jitter_us,
@@ -195,10 +131,7 @@ LeasePoint run_lease_point(int nodes, int resources, int workers,
   for (int i = 0; i < resources; ++i) {
     config.resources.push_back("bench/shard-" + std::to_string(i));
   }
-  const telemetry::HistogramSnapshot* before =
-      telemetry::Registry::global().snapshot().histogram("client.chain_len");
-  const std::uint64_t chain_count_before = before ? before->count : 0;
-  const std::uint64_t chain_sum_before = before ? before->sum : 0;
+  const telemetry::HistogramSnapshot before = chain_len_histogram();
 
   service::ThreadedLockSpace space(std::move(config));
   const service::ZipfSampler zipf(resources, zipf_s);
@@ -236,11 +169,9 @@ LeasePoint run_lease_point(int nodes, int resources, int workers,
     std::cerr << "threaded service error: " << *error << "\n";
     std::exit(1);
   }
-  const telemetry::HistogramSnapshot* after =
-      telemetry::Registry::global().snapshot().histogram("client.chain_len");
-  const std::uint64_t windows =
-      (after ? after->count : 0) - chain_count_before;
-  const std::uint64_t chain_sum = (after ? after->sum : 0) - chain_sum_before;
+  const telemetry::HistogramSnapshot after = chain_len_histogram();
+  const std::uint64_t windows = after.count - before.count;
+  const std::uint64_t chain_sum = after.sum - before.sum;
 
   double sum = 0.0;
   double sum_sq = 0.0;
@@ -345,63 +276,23 @@ int main(int argc, char** argv) {
   using namespace dmx;
   using dmx::bench::LeasePoint;
   using dmx::bench::SimPoint;
-  using dmx::bench::ThreadedPoint;
 
-  bool lease_sweep_only = false;
   bool smoke = false;
   const char* out_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--lease-sweep") {
-      lease_sweep_only = true;
-    } else if (arg == "--smoke") {
+    if (arg == "--smoke") {
       smoke = true;
     } else {
       out_path = argv[i];
     }
   }
 
-  if (lease_sweep_only) {
-    // Chaining before/after only: lease cap x skew at the saturated
-    // zero-hold point. --smoke shrinks the target so the fast test tier
-    // can exercise the whole mode in seconds.
-    std::cout << "bench_service --lease-sweep — hot-shard chaining: lease "
-                 "cap x skew (N=8, 64 resources, zero hold)\n\n";
-    const std::vector<LeasePoint> points =
-        bench::run_lease_sweep(smoke ? 400 : 6000);
-    std::cout << "\nShape check: cap 0 is the pre-chaining baseline; the "
-                 "default cap (16) recovers the\nhand-off cost for "
-                 "co-located waiters (chained % rises with skew, >= 2x "
-                 "at Zipf 0.99)\nwhile yields and fairness stay healthy. "
-                 "Raising the cap past 16 buys little more\nthroughput "
-                 "but visibly longer chains — the fairness/throughput "
-                 "trade the lease\nwindow is for.\n";
-    if (out_path != nullptr) {
-      std::ostringstream json;
-      json << "{\n";
-      bench::append_lease_json(json, points);
-      json << "\n}\n";
-      std::ofstream out(out_path);
-      out << json.str();
-      std::cout << "\nwrote " << out_path << "\n";
-    }
-    return 0;
-  }
-
   std::cout << "bench_service — LockSpace throughput: resources x nodes x "
                "skew (Neilsen-backed, saturation)\n";
 
-  // DMX_BENCH_OVERHEAD_ONLY=1 skips the scaling sweeps and runs just the
-  // telemetry overhead point — the mode the compiled-out baseline build
-  // is run in to produce DMX_BENCH_BASELINE_EPS.
-  const char* overhead_only_env = std::getenv("DMX_BENCH_OVERHEAD_ONLY");
-  const bool overhead_only =
-      overhead_only_env != nullptr && overhead_only_env[0] != '\0' &&
-      std::string(overhead_only_env) != "0";
-
   std::vector<SimPoint> sim_points;
-  for (const int nodes : overhead_only ? std::vector<int>{}
-                                       : std::vector<int>{8, 16}) {
+  for (const int nodes : {8, 16}) {
     std::cout << "\nSim substrate, N = " << nodes
               << ", 4 clients/node, entries per kilotick of virtual time\n\n";
     metrics::Table table({"resources", "skew s", "entries", "msgs/entry",
@@ -409,8 +300,8 @@ int main(int argc, char** argv) {
     for (const double s : {0.0, 0.99}) {
       double single = 0.0;
       for (const int resources : {1, 4, 16, 64}) {
-        const SimPoint p =
-            bench::run_sim_point(nodes, resources, s, 20000);
+        const SimPoint p = bench::run_sim_point(nodes, resources, s,
+                                                smoke ? 2000 : 20000);
         if (resources == 1) single = p.entries_per_kilotick;
         sim_points.push_back(p);
         table.add_row(
@@ -425,114 +316,23 @@ int main(int argc, char** argv) {
     }
     table.print(std::cout);
   }
-
-  // Threaded sweep: resources x pool workers x skew at N = 8, saturated
-  // clients, 0-40us hold windows (the sim sweep's hold ticks scaled to
-  // the runtime's hand-off latency). Uniform skew is the scaling regime
-  // (the acceptance ratio); Zipf 0.99 shows the hot shards re-serializing
-  // exactly as the sim table does. The "vs 1 resource" column is computed
-  // within each (workers, skew) row — the single serialized resource is
-  // the baseline the strand pool is supposed to beat.
-  std::cout << "\nThreaded substrate, wall clock (4 clients/node, hold "
-               "0-40us)\n\n";
-  std::vector<ThreadedPoint> threaded_points;
-  {
-    metrics::Table table({"workers", "skew s", "resources", "entries",
-                          "entries/s", "vs 1 resource"});
-    const unsigned hold_hi_us = 40;
-    const int clients_per_node = 4;
-    for (const int workers : overhead_only ? std::vector<int>{}
-                                           : std::vector<int>{1, 2, 4}) {
-      for (const double s : {0.0, 0.99}) {
-        double single = 0.0;
-        for (const int resources : {1, 4, 16, 64}) {
-          const ThreadedPoint p = bench::run_threaded_point(
-              8, resources, workers, clients_per_node, s, hold_hi_us, 6000);
-          if (resources == 1) single = p.entries_per_second;
-          threaded_points.push_back(p);
-          table.add_row(
-              {metrics::Table::num(workers, 0), metrics::Table::num(s),
-               metrics::Table::num(resources, 0),
-               metrics::Table::num(static_cast<double>(p.entries), 0),
-               metrics::Table::num(p.entries_per_second, 0),
-               metrics::Table::num(p.entries_per_second / single) + "x"});
-        }
-      }
-    }
-    table.print(std::cout);
-  }
-
-  std::cout << "\nShape check: throughput grows with resource count on "
-               "BOTH substrates (sim >= 3x,\nthreaded >= 5x by 64 "
-               "resources at uniform skew); skew 0.99 lands between the\n"
-               "serialized and fully sharded regimes as the hot shards "
+  std::cout << "\nShape check: throughput grows with resource count (>= 3x "
+               "by 64 resources at\nuniform skew); skew 0.99 lands between "
+               "the serialized and fully sharded regimes\nas the hot shards "
                "re-serialize.\n";
 
   // Hot-shard chaining before/after (see run_lease_sweep): cap 0 is the
-  // pre-chaining service, the default cap is this PR's release path.
+  // pre-chaining service, the default cap is the shipped release path.
   std::cout << "\nLease sweep: chaining before/after (N=8, 64 resources, "
                "zero hold, saturated)\n\n";
   const std::vector<LeasePoint> lease_points =
-      overhead_only ? std::vector<LeasePoint>{} : bench::run_lease_sweep(6000);
-
-  // Telemetry overhead proof: the saturated point (N=8, 64 resources,
-  // uniform skew, zero hold — the hottest instrumentation path) best of
-  // three with recording enabled vs the runtime kill switch. The same
-  // binary built with -DDAGMX_TELEMETRY=OFF is the compiled-out
-  // baseline; run it first and pass its entries/s via
-  // DMX_BENCH_BASELINE_EPS so the cross-build ratio lands in the JSON
-  // snapshot too.
-  std::cout << "\nTelemetry overhead (N=8, 64 resources, uniform, zero "
-               "hold, best of 5)\n\n";
-  double enabled_eps = 0.0;
-  double disabled_eps = 0.0;
-  std::string metrics_json = "{}";
-  // Long reps (120k entries, ~0.5s each) interleaved enabled/disabled:
-  // short reps disappear into scheduler noise on a loaded box, and only
-  // the within-run contrast controls for machine load at all.
-  for (int rep = 0; rep < 5; ++rep) {
-    telemetry::Registry::global().set_enabled(true);
-    enabled_eps = std::max(
-        enabled_eps,
-        bench::run_threaded_point(8, 64, 4, 4, 0.0, 0, 120000, &metrics_json)
-            .entries_per_second);
-    telemetry::Registry::global().set_enabled(false);
-    disabled_eps = std::max(
-        disabled_eps,
-        bench::run_threaded_point(8, 64, 4, 4, 0.0, 0, 120000)
-            .entries_per_second);
-  }
-  telemetry::Registry::global().set_enabled(true);
-  const bool compiled_in = DMX_TELEMETRY != 0;
-  const double kill_switch_delta_pct =
-      (disabled_eps - enabled_eps) / disabled_eps * 100.0;
-  double baseline_eps = 0.0;
-  if (const char* env = std::getenv("DMX_BENCH_BASELINE_EPS")) {
-    baseline_eps = std::strtod(env, nullptr);
-  }
-  {
-    metrics::Table table({"build", "recording", "entries/s", "delta"});
-    table.add_row({compiled_in ? "telemetry" : "compiled-out", "on",
-                   metrics::Table::num(enabled_eps, 0), "-"});
-    table.add_row({compiled_in ? "telemetry" : "compiled-out", "off",
-                   metrics::Table::num(disabled_eps, 0),
-                   metrics::Table::num(kill_switch_delta_pct) + "%"});
-    if (baseline_eps > 0.0) {
-      table.add_row({"compiled-out", "n/a",
-                     metrics::Table::num(baseline_eps, 0),
-                     metrics::Table::num((baseline_eps - enabled_eps) /
-                                         baseline_eps * 100.0) +
-                         "%"});
-    }
-    table.print(std::cout);
-    std::cout << "\nShape check: the kill-switch delta bounds the recording "
-                 "cost (budget: a few percent\nof saturated throughput; "
-                 "per-op costs are single-digit ns, see BENCH_micro.json).\n"
-                 "Caveat: on a 1-vCPU container every thread's recording "
-                 "serializes onto the\ncritical path and run-to-run "
-                 "scheduler noise is +-10%, so treat any single\nreading "
-                 "as an upper bound, not a point estimate.\n";
-  }
+      bench::run_lease_sweep(smoke ? 400 : 6000);
+  std::cout << "\nShape check: cap 0 is the pre-chaining baseline; the "
+               "default cap (16) recovers the\nhand-off cost for "
+               "co-located waiters (chained % rises with skew, >= 2x "
+               "at Zipf 0.99)\nwhile yields and fairness stay healthy. "
+               "Caps past 16 buy throughput with longer\nchains — the "
+               "fairness/throughput trade the lease window is for.\n";
 
   if (out_path != nullptr) {
     std::ostringstream json;
@@ -547,37 +347,9 @@ int main(int argc, char** argv) {
            << ", \"entries_per_kilotick\": " << p.entries_per_kilotick << "}"
            << (i + 1 < sim_points.size() ? "," : "") << "\n";
     }
-    json << "  ],\n  \"threaded\": [\n";
-    for (std::size_t i = 0; i < threaded_points.size(); ++i) {
-      const ThreadedPoint& p = threaded_points[i];
-      json << "    {\"nodes\": " << p.nodes
-           << ", \"resources\": " << p.resources
-           << ", \"workers\": " << p.workers
-           << ", \"clients_per_node\": " << p.clients_per_node
-           << ", \"zipf_s\": " << p.zipf_s
-           << ", \"hold_hi_us\": " << p.hold_hi_us
-           << ", \"entries\": " << p.entries
-           << ", \"entries_per_second\": " << p.entries_per_second << "}"
-           << (i + 1 < threaded_points.size() ? "," : "") << "\n";
-    }
     json << "  ],\n";
-    if (!lease_points.empty()) {
-      bench::append_lease_json(json, lease_points);
-      json << ",\n";
-    }
-    json << "  \"telemetry\": {\n"
-         << "    \"compiled_in\": " << (compiled_in ? "true" : "false")
-         << ",\n    \"nodes\": 8, \"resources\": 64, \"workers\": 4, "
-            "\"clients_per_node\": 4, \"zipf_s\": 0,\n"
-         << "    \"enabled_entries_per_second\": " << enabled_eps
-         << ",\n    \"kill_switch_entries_per_second\": " << disabled_eps
-         << ",\n    \"kill_switch_delta_percent\": " << kill_switch_delta_pct;
-    if (baseline_eps > 0.0) {
-      json << ",\n    \"compiled_out_entries_per_second\": " << baseline_eps
-           << ",\n    \"overhead_vs_compiled_out_percent\": "
-           << (baseline_eps - enabled_eps) / baseline_eps * 100.0;
-    }
-    json << "\n  },\n  \"metrics\": " << metrics_json << "\n}\n";
+    bench::append_lease_json(json, lease_points);
+    json << "\n}\n";
     std::ofstream out(out_path);
     out << json.str();
     std::cout << "\nwrote " << out_path << "\n";

@@ -19,9 +19,6 @@
 // listener (tests/support/flight_dump.hpp) that prints dump_tail next to
 // the seed repro line when DMX_FLIGHT_DUMP=1 — the env var the fault and
 // transport ctest presets set.
-//
-// Recording shares the Registry kill switch and the DMX_TELEMETRY
-// compile-out gate with the metrics layer.
 #pragma once
 
 #include <cstdint>
@@ -100,14 +97,11 @@ inline constexpr int kFlightRingCapacity = 512;
 /// being diagnosed, so they keep their own small ring.
 inline constexpr int kFlightFaultRingCapacity = 64;
 
-#if DMX_TELEMETRY
-
 /// Static facade over the per-thread rings owned by Registry's shards.
 class FlightRecorder {
  public:
   /// Appends to this thread's ring: a handful of relaxed atomic stores
-  /// into a fixed single-writer ring — no lock, no allocation. No-op
-  /// while the registry is disabled.
+  /// into a fixed single-writer ring — no lock, no allocation.
   static void record(FlightEvent event, ResourceId resource = 0,
                      NodeId node = 0, std::int64_t arg = 0);
 
@@ -142,22 +136,5 @@ class FlightRecorder {
   /// Every ring's contents, merged and timestamp-sorted.
   static std::vector<FlightRecord> collect_all();
 };
-
-#else  // !DMX_TELEMETRY
-
-class FlightRecorder {
- public:
-  static void record(FlightEvent, ResourceId = 0, NodeId = 0,
-                     std::int64_t = 0) {}
-  static void record_at(std::uint64_t, FlightEvent, ResourceId = 0,
-                        NodeId = 0, std::int64_t = 0) {}
-  static std::vector<FlightRecord> tail(int) { return {}; }
-  static std::string dump_tail(int) { return "(telemetry compiled out)\n"; }
-  static std::string chrome_trace_json() { return "{\"traceEvents\":[]}"; }
-  static void clear() {}
-  static bool dump_on_failure_enabled() { return false; }
-};
-
-#endif  // DMX_TELEMETRY
 
 }  // namespace dmx::telemetry

@@ -196,8 +196,6 @@ std::string MetricsSnapshot::to_json() const {
   return out.str();
 }
 
-#if DMX_TELEMETRY
-
 // --- Registry internals ----------------------------------------------------
 
 /// One thread's private slice of every metric plus its flight ring.
@@ -243,8 +241,6 @@ struct Registry::Shard {
 };
 
 struct Registry::Impl {
-  std::atomic<bool> enabled{true};
-
   mutable std::mutex mutex;
   std::vector<std::string> counter_names;
   std::vector<std::string> histogram_names;
@@ -322,14 +318,12 @@ HistogramId Registry::histogram(std::string_view name) {
 
 void Registry::add(CounterId id, std::uint64_t delta) {
   if (id.index < 0) return;
-  if (!impl_->enabled.load(std::memory_order_relaxed)) return;
   this_thread_shard()->counters[id.index].fetch_add(
       delta, std::memory_order_relaxed);
 }
 
 void Registry::record(HistogramId id, std::uint64_t value) {
   if (id.index < 0) return;
-  if (!impl_->enabled.load(std::memory_order_relaxed)) return;
   Shard* shard = this_thread_shard();
   auto& cells = shard->histograms[id.index];
   cells.buckets[std::bit_width(value)].fetch_add(1, std::memory_order_relaxed);
@@ -366,14 +360,6 @@ MetricsSnapshot Registry::snapshot() const {
     }
   }
   return snap;
-}
-
-void Registry::set_enabled(bool on) {
-  impl_->enabled.store(on, std::memory_order_relaxed);
-}
-
-bool Registry::enabled() const {
-  return impl_->enabled.load(std::memory_order_relaxed);
 }
 
 void Registry::reset() {
@@ -437,7 +423,6 @@ std::string_view flight_event_category(FlightEvent event) {
 
 void FlightRecorder::record(FlightEvent event, ResourceId resource,
                             NodeId node, std::int64_t arg) {
-  if (!Registry::global().enabled()) return;
   record_at(now_ns(), event, resource, node, arg);
 }
 
@@ -445,7 +430,6 @@ void FlightRecorder::record_at(std::uint64_t t_ns, FlightEvent event,
                                ResourceId resource, NodeId node,
                                std::int64_t arg) {
   Registry& registry = Registry::global();
-  if (!registry.enabled()) return;
   Registry::Shard* shard = registry.this_thread_shard();
   // Fault events are the trailing enum block (asserted in the enum's
   // comment); they go to the eviction-protected side ring.
@@ -565,7 +549,5 @@ bool FlightRecorder::dump_on_failure_enabled() {
   return value != nullptr && value[0] != '\0' &&
          !(value[0] == '0' && value[1] == '\0');
 }
-
-#endif  // DMX_TELEMETRY
 
 }  // namespace dmx::telemetry

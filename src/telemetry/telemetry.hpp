@@ -18,12 +18,6 @@
 //    default-registry model: instrumentation points resolve their ids
 //    once, in cold code). snapshot() merges every shard on demand and
 //    renders as aligned text or JSON.
-//  * A process-wide kill switch (set_enabled(false)) reduces every
-//    recording call to one relaxed load — the overhead bench compares
-//    enabled vs disabled to prove the instrumentation can stay on.
-//  * Building with -DDAGMX_TELEMETRY=OFF (DMX_TELEMETRY=0) compiles the
-//    whole layer out: every call site still compiles, recording functions
-//    become empty inlines, snapshots come back empty.
 //
 // The flight recorder (telemetry/flight_recorder.hpp) shares the same
 // per-thread shard infrastructure.
@@ -37,22 +31,17 @@
 #include <utility>
 #include <vector>
 
-#ifndef DMX_TELEMETRY
-#define DMX_TELEMETRY 1
-#endif
-
-#if DMX_TELEMETRY && (defined(__x86_64__) || defined(__i386__))
+#if defined(__x86_64__) || defined(__i386__)
 #include <x86intrin.h>
-#define DMX_TELEMETRY_TSC 1
+#define DMX_HAS_TSC 1
 #else
-#define DMX_TELEMETRY_TSC 0
+#define DMX_HAS_TSC 0
 #endif
 
 namespace dmx::telemetry {
 
 /// Handle of an interned counter. index < 0 means "dropped" (registry
-/// capacity exhausted or telemetry compiled out); recording through it is
-/// a safe no-op.
+/// capacity exhausted); recording through it is a safe no-op.
 struct CounterId {
   std::int32_t index = -1;
 };
@@ -93,8 +82,7 @@ struct HistogramSnapshot {
   void merge(const HistogramSnapshot& other);
 };
 
-/// Point-in-time merged view of every registered metric. Plain data:
-/// usable (and returned, empty) even when telemetry is compiled out.
+/// Point-in-time merged view of every registered metric. Plain data.
 struct MetricsSnapshot {
   /// Name -> merged value, in registration order.
   std::vector<std::pair<std::string, std::uint64_t>> counters;
@@ -124,8 +112,6 @@ struct MetricsSnapshot {
   std::string to_json() const;
 };
 
-#if DMX_TELEMETRY
-
 class Registry {
  public:
   /// The process-wide registry (never destroyed: instrumentation may fire
@@ -146,11 +132,6 @@ class Registry {
 
   /// Merges every shard (live and leased-back) into one snapshot.
   MetricsSnapshot snapshot() const;
-
-  /// Process-wide kill switch (also gates the flight recorder). Recording
-  /// while disabled costs one relaxed load. On by default.
-  void set_enabled(bool on);
-  bool enabled() const;
 
   /// Zeroes every counter, histogram, and flight ring in every shard.
   /// For tests and benches that measure deltas; not thread-safe against
@@ -177,7 +158,7 @@ class Registry {
 /// now_ns() fallback: steady_clock against a process-start anchor.
 std::uint64_t steady_now_ns();
 
-#if DMX_TELEMETRY_TSC
+#if DMX_HAS_TSC
 namespace detail {
 /// Calibrated TSC reader. On every x86 this code will meet, the TSC is
 /// constant-rate and synchronized across cores, and reading it costs
@@ -214,13 +195,13 @@ inline const TscClock& tsc_clock() {
   return clock;
 }
 }  // namespace detail
-#endif  // DMX_TELEMETRY_TSC
+#endif  // DMX_HAS_TSC
 
 /// Nanoseconds since a process-start anchor; the shared timebase of
 /// histograms and flight-recorder events. Inline because instrumented
 /// hot paths read it up to three times per lock-service entry.
 inline std::uint64_t now_ns() {
-#if DMX_TELEMETRY_TSC
+#if DMX_HAS_TSC
   const detail::TscClock& clock = detail::tsc_clock();
   if (clock.ns_per_tick > 0.0) {
     return static_cast<std::uint64_t>(
@@ -229,28 +210,6 @@ inline std::uint64_t now_ns() {
 #endif
   return steady_now_ns();
 }
-
-#else  // !DMX_TELEMETRY — compiled out: same API, empty inlines.
-
-class Registry {
- public:
-  static Registry& global() {
-    static Registry registry;
-    return registry;
-  }
-  CounterId counter(std::string_view) { return {}; }
-  HistogramId histogram(std::string_view) { return {}; }
-  void add(CounterId, std::uint64_t = 1) {}
-  void record(HistogramId, std::uint64_t) {}
-  MetricsSnapshot snapshot() const { return {}; }
-  void set_enabled(bool) {}
-  bool enabled() const { return false; }
-  void reset() {}
-};
-
-inline std::uint64_t now_ns() { return 0; }
-
-#endif  // DMX_TELEMETRY
 
 /// Convenience wrappers over the global registry.
 inline void count(CounterId id, std::uint64_t delta = 1) {
@@ -263,7 +222,6 @@ inline void observe(HistogramId id, std::uint64_t value) {
 /// Hot-path histograms that sample 1 in 8 events.
 enum class SampleSite { kClientWait, kClientHold, kStrandBatch, kInjectorDepth };
 
-#if DMX_TELEMETRY
 /// 1-in-8 sampling gate for distribution-shape histograms on per-event
 /// hot paths (client wait/hold, strand batch, injector depth). Counters
 /// and flight events stay exact; a histogram only needs enough samples
@@ -281,11 +239,5 @@ inline bool sample_1_in_8() {
   thread_local std::uint32_t tick = 0;
   return (++tick & 7u) == 0;
 }
-#else
-template <SampleSite kSite>
-inline bool sample_1_in_8() {
-  return false;
-}
-#endif
 
 }  // namespace dmx::telemetry

@@ -439,22 +439,32 @@ TEST(ThreadedLockSpace, LeaseCapYieldsTheTokenBackToTheProtocol) {
 
 TEST(ThreadedLockSpace, ExpiredHoldWindowClosesTheChain) {
   // A zero-length hold window (max_hold_ns = 1) fails the window check on
-  // every release, and with renewal off no chain may form at all.
+  // every release, and with renewal off no chain may form at all. Each
+  // holder keeps the CS until every other client that still has an entry
+  // to make is parked behind it, so its release reaches the window check
+  // with waiters queued and must yield to the protocol instead.
+  const int rounds = 10;
   ThreadedLockSpaceConfig config = make_config(3, 1);
   config.lease.max_hold_ns = 1;
   config.lease.renew_when_no_remote = false;
   ThreadedLockSpace space(std::move(config));
+  int unfinished = 3;  // clients with an entry still to come; CS-guarded
   std::vector<std::thread> threads;
   for (int t = 0; t < 3; ++t) {
-    threads.emplace_back([&space] {
-      for (int i = 0; i < 10; ++i) {
+    threads.emplace_back([&space, &unfinished] {
+      for (int i = 0; i < rounds; ++i) {
         ScopedLock guard(space, ResourceId{0}, NodeId{2});
+        const bool last = i + 1 == rounds;
+        if (last) --unfinished;
+        await_local_waiters(space, ResourceId{0}, NodeId{2},
+                            unfinished - (last ? 0 : 1));
       }
     });
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(space.entries(0), 30u);
   EXPECT_EQ(space.chained_grants(), 0u);
+  EXPECT_GT(space.lease_yields(), 0u);
   EXPECT_FALSE(space.first_error().has_value()) << *space.first_error();
 }
 
@@ -652,7 +662,6 @@ TEST(ThreadedLockSpace, OneCpuClosedLoopStressKeepsExclusionExact) {
   runner.join();
 }
 
-#if DMX_TELEMETRY
 TEST(ThreadedLockSpace, SnapshotRollsUpClientWait) {
   // The gate records wait time on per-resource lanes only; the snapshot
   // folds them into the process-wide client.wait_ns (1-in-8 sampled, so
@@ -666,7 +675,6 @@ TEST(ThreadedLockSpace, SnapshotRollsUpClientWait) {
   ASSERT_NE(wait, nullptr);
   EXPECT_GT(wait->count, 0u);
 }
-#endif  // DMX_TELEMETRY
 
 // ---- One resource: every algorithm, timeouts, topologies, message cost ----
 //

@@ -4,7 +4,7 @@
 // a test fails, so the repro line a failing fault/transport test already
 // emits is followed by the last structured runtime events that led up to
 // it. Gated at runtime by DMX_FLIGHT_DUMP (the fault and transport ctest
-// presets set it); a no-op when the telemetry layer is compiled out.
+// presets set it).
 //
 // Header-only by design: the test binaries are assembled by globbing
 // tests/ (with tests/fault and tests/transport carved out into their own

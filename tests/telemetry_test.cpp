@@ -178,8 +178,6 @@ TEST(Telemetry, MetricsSnapshotMergeAndSetCounter) {
   EXPECT_EQ(a.counter("x"), 7u);
 }
 
-#if DMX_TELEMETRY
-
 // --- Registry: interning, recording, shard merge ---------------------------
 
 TEST(Telemetry, RegistryInternsSameNameToSameId) {
@@ -257,18 +255,10 @@ TEST(Telemetry, SnapshotIsConsistentWhileWritersAreRunning) {
   for (auto& thread : threads) thread.join();
 }
 
-TEST(Telemetry, KillSwitchDropsRecordingAndDroppedIdsAreSafe) {
+TEST(Telemetry, DroppedIdsAreSafe) {
+  // A dropped id (registry capacity exhausted) records nowhere and must
+  // not crash.
   auto& registry = Registry::global();
-  const CounterId id = registry.counter("telemetry_test.kill_switch");
-  registry.add(id);
-  registry.set_enabled(false);
-  EXPECT_FALSE(registry.enabled());
-  registry.add(id, 100);
-  registry.set_enabled(true);
-  EXPECT_TRUE(registry.enabled());
-  EXPECT_EQ(registry.snapshot().counter("telemetry_test.kill_switch"), 1u);
-  // A dropped id (capacity overflow / compiled out) records nowhere and
-  // must not crash.
   registry.add(CounterId{}, 5);
   registry.record(HistogramId{}, 5);
 }
@@ -365,19 +355,6 @@ TEST(TelemetryFlight, ClearEmptiesEveryRing) {
   FlightRecorder::clear();
   EXPECT_TRUE(FlightRecorder::tail(100).empty());
 }
-
-#else  // !DMX_TELEMETRY
-
-TEST(Telemetry, CompiledOutRegistryIsInert) {
-  auto& registry = Registry::global();
-  registry.add(registry.counter("x"), 5);
-  registry.record(registry.histogram("y"), 5);
-  EXPECT_TRUE(registry.snapshot().counters.empty());
-  FlightRecorder::record(FlightEvent::kRequest, 1, 1);
-  EXPECT_TRUE(FlightRecorder::tail(10).empty());
-}
-
-#endif  // DMX_TELEMETRY
 
 }  // namespace
 }  // namespace dmx::telemetry

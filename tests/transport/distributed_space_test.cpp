@@ -325,7 +325,6 @@ TEST(DistributedLockSpace, ColocatedClientsChainGrants) {
             static_cast<std::uint64_t>(3 * iterations));
 }
 
-#if DMX_TELEMETRY
 TEST(DistributedLockSpace, SnapshotRollsUpClientWait) {
   // Parity with ThreadedLockSpace: the per-resource wait lanes fold into
   // the process-wide client.wait_ns at snapshot time (1-in-8 sampled, so
@@ -345,7 +344,6 @@ TEST(DistributedLockSpace, SnapshotRollsUpClientWait) {
   EXPECT_EQ(space.total_entries(), 80u);
   space.shutdown();
 }
-#endif  // DMX_TELEMETRY
 
 }  // namespace
 }  // namespace dmx::transport

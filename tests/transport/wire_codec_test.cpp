@@ -2,12 +2,16 @@
 // message family, encode-uniqueness over generated corpora (the aliasing
 // audit pin — two behaviorally different messages must never share a
 // binary encoding OR an encode() string), frame header round-trips, and
-// rejection of malformed input.
+// rejection of malformed input, and a fixed-seed mutation fuzzer over
+// whole frames.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baselines/carvalho_roucairol.hpp"
@@ -18,6 +22,7 @@
 #include "baselines/ricart_agrawala.hpp"
 #include "baselines/singhal.hpp"
 #include "baselines/suzuki_kasami.hpp"
+#include "common/rng.hpp"
 #include "core/messages.hpp"
 #include "net/wire_format.hpp"
 #include "transport/codec.hpp"
@@ -293,6 +298,188 @@ TEST(WireCodec, MessageWithoutCodecIsRefused) {
   const BareMessage bare;
   EXPECT_FALSE(bare.wire_kind().valid());
   EXPECT_THROW(Codec::wire_id_of(bare), net::WireError);
+}
+
+// --- Mutation fuzzing --------------------------------------------------------
+//
+// Bytes off a socket are hostile until decoded. Every frame built from the
+// corpus is mutated by one of five operators, then framed the way
+// EventLoop::drain_frames frames a receive buffer. A mutated frame must be
+// rejected (the receive path's length check, or net::WireError from
+// decode_header/decode), or decode to a message whose encode_frame
+// reproduces the frame byte for byte: a decoder may not accept two
+// encodings of one message, crash, or over-allocate (asan-fast runs this).
+
+enum class Mutation { kBitFlip, kTruncate, kLyingLength, kInflatedCount,
+                      kSplice };
+constexpr int kMutations = 5;
+
+enum class Verdict { kIncomplete, kRejected, kCanonical, kNonCanonical };
+
+constexpr std::size_t kHeaderEnd = 4 + 5 * 4;  // length prefix + header
+
+std::uint32_t get_u32(const std::string& bytes, std::size_t at) {
+  net::WireReader r(std::string_view(bytes).substr(at, 4));
+  return r.u32();
+}
+
+void put_u32(std::string& bytes, std::size_t at, std::uint32_t value) {
+  std::string le;
+  net::WireWriter(le).u32(value);
+  bytes.replace(at, 4, le);
+}
+
+/// Makes the length prefix tell the truth about `bytes`.
+void fix_length(std::string& bytes) {
+  put_u32(bytes, 0, static_cast<std::uint32_t>(bytes.size() - 4));
+}
+
+std::size_t pick(Rng& rng, std::size_t lo, std::size_t hi) {
+  return static_cast<std::size_t>(rng.uniform_int(
+      static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
+}
+
+std::string mutate(Rng& rng, Mutation mutation,
+                   const std::vector<std::string>& seeds,
+                   const std::string& seed) {
+  std::string out = seed;
+  switch (mutation) {
+    case Mutation::kBitFlip: {
+      for (std::size_t flips = pick(rng, 1, 4); flips > 0; --flips) {
+        out[pick(rng, 0, out.size() - 1)] ^=
+            static_cast<char>(1u << pick(rng, 0, 7));
+      }
+      break;
+    }
+    case Mutation::kTruncate: {
+      // The prefix is patched to the shorter body, so the frame is
+      // complete and the decoders, not the reassembly, meet the cut.
+      out.resize(pick(rng, 4, out.size() - 1));
+      fix_length(out);
+      break;
+    }
+    case Mutation::kLyingLength: {
+      const std::uint32_t body = static_cast<std::uint32_t>(out.size() - 4);
+      switch (pick(rng, 0, 2)) {
+        case 0:  // short: the frame ends early, the rest is the next frame
+          put_u32(out, 0, static_cast<std::uint32_t>(pick(rng, 0, body - 1)));
+          break;
+        case 1: {  // long, with enough garbage behind it to complete
+          const std::size_t extra = pick(rng, 1, 16);
+          for (std::size_t i = 0; i < extra; ++i) {
+            out.push_back(static_cast<char>(pick(rng, 0, 255)));
+          }
+          put_u32(out, 0, body + static_cast<std::uint32_t>(extra));
+          break;
+        }
+        default:
+          put_u32(out, 0, static_cast<std::uint32_t>(rng.next()));
+      }
+      break;
+    }
+    case Mutation::kInflatedCount: {
+      // Any payload word may be a vector count; raise it past what the
+      // rest of the frame holds.
+      if (out.size() < kHeaderEnd + 4) {  // no payload word: flip a bit
+        out[pick(rng, 0, out.size() - 1)] ^= 1;
+        break;
+      }
+      const std::size_t at = pick(rng, kHeaderEnd, out.size() - 4);
+      const std::uint32_t was = get_u32(out, at);
+      const std::array<std::uint32_t, 4> counts = {
+          was + 1, was + static_cast<std::uint32_t>(pick(rng, 2, 64)),
+          0x40000000u, 0xffffffffu};
+      put_u32(out, at, counts[pick(rng, 0, counts.size() - 1)]);
+      break;
+    }
+    case Mutation::kSplice: {
+      const std::string& other = seeds[pick(rng, 0, seeds.size() - 1)];
+      switch (pick(rng, 0, 2)) {
+        case 0:  // another family's wire id over this payload
+          put_u32(out, 4,
+                  static_cast<std::uint32_t>(
+                      pick(rng, 0, Codec::family_count() - 1)));
+          break;
+        case 1:  // this header over another frame's payload
+          out = seed.substr(0, kHeaderEnd) + other.substr(kHeaderEnd);
+          fix_length(out);
+          break;
+        default:  // a prefix of this frame over a suffix of another
+          out = seed.substr(0, pick(rng, 4, seed.size())) +
+                other.substr(pick(rng, 4, other.size()));
+          fix_length(out);
+      }
+      break;
+    }
+  }
+  return out;
+}
+
+/// Frames `bytes` as EventLoop::drain_frames does and decodes the first
+/// frame. `why` receives the offending bytes' decoding on kNonCanonical.
+Verdict check_frame(const std::string& bytes, std::string& why) {
+  if (bytes.size() < 4) return Verdict::kIncomplete;
+  const std::uint32_t length = get_u32(bytes, 0);
+  if (length > kMaxFrameBytes || length < 5 * 4) return Verdict::kRejected;
+  if (bytes.size() - 4 < length) return Verdict::kIncomplete;
+  const std::string_view frame = std::string_view(bytes).substr(0, 4 + length);
+  net::WireReader r(frame.substr(4));
+  try {
+    const FrameHeader header = Codec::decode_header(r);
+    const net::MessagePtr message = Codec::decode(header.wire_id, r);
+    std::string reencoded;
+    Codec::encode_frame(reencoded, header.epoch, header.resource, header.from,
+                        header.to, *message);
+    if (reencoded == frame) return Verdict::kCanonical;
+    why = message->describe();
+    return Verdict::kNonCanonical;
+  } catch (const net::WireError&) {
+    return Verdict::kRejected;
+  }
+}
+
+TEST(WireCodec, MutatedFramesAreRejectedOrReencodeCanonically) {
+  std::vector<std::string> seeds;
+  int i = 0;
+  for (const net::MessagePtr& message : corpus()) {
+    std::string frame;
+    Codec::encode_frame(frame, /*epoch=*/static_cast<Epoch>(1 + i),
+                        /*resource=*/i % 3, /*from=*/1 + i % 5,
+                        /*to=*/2 + i % 4, *message);
+    seeds.push_back(std::move(frame));
+    ++i;
+  }
+  Rng rng(0x5eed'f00dULL);
+  std::array<std::array<int, 4>, kMutations> verdicts{};
+  int non_canonical = 0;
+  for (int round = 0; round < 8000; ++round) {
+    for (const std::string& seed : seeds) {
+      const auto mutation = static_cast<Mutation>(round % kMutations);
+      const std::string mutated = mutate(rng, mutation, seeds, seed);
+      std::string why;
+      const Verdict verdict = check_frame(mutated, why);
+      ++verdicts[static_cast<std::size_t>(mutation)]
+                [static_cast<std::size_t>(verdict)];
+      if (verdict == Verdict::kNonCanonical && ++non_canonical <= 5) {
+        ADD_FAILURE() << "mutation " << static_cast<int>(mutation)
+                      << " of frame #" << (&seed - seeds.data())
+                      << " decoded as " << why
+                      << " but does not re-encode to its own bytes";
+      }
+    }
+  }
+  EXPECT_EQ(non_canonical, 0);
+  // Every operator must reach the decoders' rejections, and the run as a
+  // whole must also produce frames that decode: a fuzzer whose every
+  // mutation dies at the length check tests nothing.
+  int canonical = 0;
+  for (int m = 0; m < kMutations; ++m) {
+    const auto& counts = verdicts[static_cast<std::size_t>(m)];
+    EXPECT_GT(counts[static_cast<std::size_t>(Verdict::kRejected)], 0)
+        << "mutation " << m;
+    canonical += counts[static_cast<std::size_t>(Verdict::kCanonical)];
+  }
+  EXPECT_GT(canonical, 0);
 }
 
 }  // namespace
