@@ -19,15 +19,15 @@ void run() {
   metrics::Table table({"N", "Neilsen measured", "Neilsen 3-5/N+2/N^2",
                         "Central measured", "Central 3-3/N"});
   for (int n : {3, 5, 10, 20, 50, 100}) {
-    harness::Cluster neilsen =
-        make_cluster(baselines::algorithm_by_name("Neilsen"), "star", n);
-    const double neilsen_measured = average_probe(neilsen);
+    const auto neilsen =
+        make_space(baselines::algorithm_by_name("Neilsen"), "star", n);
+    const double neilsen_measured = average_probe(*neilsen);
     const double neilsen_paper =
         3.0 - 5.0 / n + 2.0 / (static_cast<double>(n) * n);
 
-    harness::Cluster central =
-        make_cluster(baselines::algorithm_by_name("Central"), "star", n);
-    const double central_measured = average_probe(central);
+    const auto central =
+        make_space(baselines::algorithm_by_name("Central"), "star", n);
+    const double central_measured = average_probe(*central);
     const double central_paper = 3.0 - 3.0 / n;
 
     table.add_row({std::to_string(n), metrics::Table::num(neilsen_measured, 4),

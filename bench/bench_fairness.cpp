@@ -23,19 +23,18 @@ void run(int n) {
   metrics::Table table({"algorithm", "Jain index", "mean bypass",
                         "max bypass"});
   for (const auto& algo : baselines::all_algorithms()) {
-    harness::Cluster cluster = make_cluster(algo, "star", n, 1, 3);
+    const auto space = make_space(algo, "star", n, 1, 3);
     workload::WorkloadConfig wl;
     wl.target_entries = static_cast<std::uint64_t>(50 * n);
     wl.mean_think_ticks = 0.0;
     wl.hold_lo = wl.hold_hi = n;
     wl.seed = 29;
-    workload::run_workload(cluster, wl);
+    const workload::WorkloadResult result =
+        workload::run_workload(*space, kCs, wl);
 
-    std::vector<double> counts =
-        harness::entries_per_node(cluster.events(), n);
+    std::vector<double> counts = harness::entries_per_node(result.events, n);
     counts.erase(counts.begin());
-    const metrics::Summary bypasses =
-        harness::bypass_counts(cluster.events());
+    const metrics::Summary bypasses = harness::bypass_counts(result.events);
     table.add_row({algo.name,
                    metrics::Table::num(metrics::jain_fairness_index(counts),
                                        4),

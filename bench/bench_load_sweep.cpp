@@ -23,15 +23,15 @@ void run(int n) {
     std::vector<std::string> row{metrics::Table::num(think, 0)};
     for (const char* name : {"Neilsen", "Central", "Raymond",
                              "Suzuki-Kasami", "Ricart-Agrawala"}) {
-      harness::Cluster cluster =
-          make_cluster(baselines::algorithm_by_name(name), "star", n, 2, 3);
+      const auto space =
+          make_space(baselines::algorithm_by_name(name), "star", n, 2, 3);
       workload::WorkloadConfig wl;
       wl.target_entries = static_cast<std::uint64_t>(60 * n);
       wl.mean_think_ticks = think;
       wl.hold_lo = wl.hold_hi = 2;
       wl.seed = 17;
       const workload::WorkloadResult result =
-          workload::run_workload(cluster, wl);
+          workload::run_workload(*space, kCs, wl);
       row.push_back(metrics::Table::num(result.messages_per_entry));
     }
     table.add_row(std::move(row));

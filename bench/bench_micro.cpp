@@ -6,9 +6,9 @@
 #include <vector>
 
 #include "baselines/registry.hpp"
-#include "harness/cluster.hpp"
 #include "net/latency.hpp"
 #include "net/network.hpp"
+#include "service/lock_space.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
@@ -121,19 +121,19 @@ void BM_AlgorithmSaturatedEntries(benchmark::State& state,
                                   const std::string& name) {
   const int n = 16;
   for (auto _ : state) {
-    harness::ClusterConfig config;
+    const proto::Algorithm algorithm = baselines::algorithm_by_name(name);
+    service::LockSpaceConfig config;
     config.n = n;
-    config.initial_token_holder = 1;
+    config.algorithm = algorithm;
     config.tree = topology::Tree::star(n, 1);
-    harness::Cluster cluster(baselines::algorithm_by_name(name),
-                             std::move(config));
-    cluster.set_event_logging(false);
+    service::LockSpace space(std::move(config));
+    const ResourceId cs = space.open("cs", algorithm, /*home=*/1);
     workload::WorkloadConfig wl;
     wl.target_entries = 500;
     wl.mean_think_ticks = 0.0;
     wl.seed = 3;
     const workload::WorkloadResult result =
-        workload::run_workload(cluster, wl);
+        workload::run_workload(space, cs, wl);
     benchmark::DoNotOptimize(result.entries);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

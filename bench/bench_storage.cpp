@@ -40,24 +40,25 @@ class PayloadObserver final : public net::NetworkObserver {
 };
 
 StorageResult measure(const proto::Algorithm& algo, int n) {
-  harness::Cluster cluster = make_cluster(algo, "star", n, 1, 9);
+  const auto space = make_space(algo, "star", n, 1, 9);
   PayloadObserver observer;
-  cluster.network().set_observer(&observer);
+  space->network().set_observer(&observer);
 
   StorageResult result;
-  cluster.set_post_event_hook([&result](harness::Cluster& c) {
-    for (NodeId v = 1; v <= c.size(); ++v) {
-      result.peak_node_bytes =
-          std::max(result.peak_node_bytes, c.node(v).state_bytes());
-    }
-  });
+  space->set_post_event_hook(
+      [&result](service::LockSpace& s, ResourceId r) {
+        for (NodeId v = 1; v <= s.nodes(); ++v) {
+          result.peak_node_bytes =
+              std::max(result.peak_node_bytes, s.node(r, v).state_bytes());
+        }
+      });
 
   workload::WorkloadConfig wl;
   wl.target_entries = static_cast<std::uint64_t>(20 * n);
   wl.mean_think_ticks = 2.0;  // high contention -> long queues
   wl.hold_lo = wl.hold_hi = 3;
   wl.seed = 13;
-  workload::run_workload(cluster, wl);
+  workload::run_workload(*space, kCs, wl);
 
   for (const char* kind : {"PRIVILEGE", "TOKEN", "GRANT", "LOCKED"}) {
     result.peak_token_payload =

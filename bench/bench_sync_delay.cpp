@@ -31,15 +31,14 @@ void run(const std::string& topology_kind, int n) {
   metrics::Table table(
       {"algorithm", "paper", "measured mean", "measured max"});
   for (const auto& algo : baselines::all_algorithms()) {
-    harness::Cluster cluster =
-        make_cluster(algo, topology_kind, n, /*holder=*/1, 3);
+    const auto space = make_space(algo, topology_kind, n, /*holder=*/1, 3);
     workload::WorkloadConfig wl;
     wl.target_entries = static_cast<std::uint64_t>(30 * n);
     wl.mean_think_ticks = 0.0;
     wl.hold_lo = wl.hold_hi = n;
     wl.seed = 11;
     const workload::WorkloadResult result =
-        workload::run_workload(cluster, wl);
+        workload::run_workload(*space, kCs, wl);
     table.add_row({algo.name, paper_delay(algo.name, tree.diameter()),
                    metrics::Table::num(result.sync_delay_ticks.mean()),
                    metrics::Table::num(result.sync_delay_ticks.max(), 0)});

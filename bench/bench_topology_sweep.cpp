@@ -22,13 +22,13 @@ void sweep_topologies(int n) {
     const topology::Tree tree = make_topology(kind, n, 5);
     const int d = tree.diameter();
 
-    harness::Cluster neilsen =
-        make_cluster(baselines::algorithm_by_name("Neilsen"), kind, n, 1, 5);
-    const std::uint64_t neilsen_worst = worst_case_probe(neilsen);
+    const auto neilsen =
+        make_space(baselines::algorithm_by_name("Neilsen"), kind, n, 1, 5);
+    const std::uint64_t neilsen_worst = worst_case_probe(*neilsen);
 
-    harness::Cluster raymond =
-        make_cluster(baselines::algorithm_by_name("Raymond"), kind, n, 1, 5);
-    const std::uint64_t raymond_worst = worst_case_probe(raymond);
+    const auto raymond =
+        make_space(baselines::algorithm_by_name("Raymond"), kind, n, 1, 5);
+    const std::uint64_t raymond_worst = worst_case_probe(*raymond);
 
     table.add_row({kind, std::to_string(d), std::to_string(d + 1),
                    std::to_string(neilsen_worst), std::to_string(2 * d),
@@ -43,13 +43,13 @@ void sweep_n() {
   metrics::Table table({"N", "line measured", "line paper (N)",
                         "star measured", "star paper (3)"});
   for (int n : {3, 5, 9, 17, 25}) {
-    harness::Cluster line =
-        make_cluster(baselines::algorithm_by_name("Neilsen"), "line", n);
-    harness::Cluster star =
-        make_cluster(baselines::algorithm_by_name("Neilsen"), "star", n);
+    const auto line =
+        make_space(baselines::algorithm_by_name("Neilsen"), "line", n);
+    const auto star =
+        make_space(baselines::algorithm_by_name("Neilsen"), "star", n);
     table.add_row({std::to_string(n),
-                   std::to_string(worst_case_probe(line)), std::to_string(n),
-                   std::to_string(worst_case_probe(star)), "3"});
+                   std::to_string(worst_case_probe(*line)), std::to_string(n),
+                   std::to_string(worst_case_probe(*star)), "3"});
   }
   table.print(std::cout);
 }

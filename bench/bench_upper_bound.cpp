@@ -48,17 +48,17 @@ void run(int n) {
   metrics::Table table({"algorithm", "paper worst case", "measured worst",
                         "saturated mean"});
   for (const auto& algo : baselines::all_algorithms()) {
-    harness::Cluster probe_cluster = make_cluster(algo, "star", n, /*holder=*/2);
-    const std::uint64_t worst = worst_case_probe(probe_cluster);
+    const auto probe_space = make_space(algo, "star", n, /*holder=*/2);
+    const std::uint64_t worst = worst_case_probe(*probe_space);
 
-    harness::Cluster load_cluster = make_cluster(algo, "star", n, 2);
+    const auto load_space = make_space(algo, "star", n, 2);
     workload::WorkloadConfig wl;
     wl.target_entries = static_cast<std::uint64_t>(40 * n);
     wl.mean_think_ticks = 0.0;
     wl.hold_lo = wl.hold_hi = n;
     wl.seed = 7;
     const workload::WorkloadResult result =
-        workload::run_workload(load_cluster, wl);
+        workload::run_workload(*load_space, kCs, wl);
 
     table.add_row({algo.name, paper_bound(algo.name, n, diameter),
                    std::to_string(worst),

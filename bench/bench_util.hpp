@@ -5,9 +5,9 @@
 #include <string>
 
 #include "baselines/registry.hpp"
-#include "harness/cluster.hpp"
 #include "harness/probe.hpp"
 #include "metrics/table.hpp"
+#include "service/lock_space.hpp"
 #include "topology/tree.hpp"
 #include "workload/workload.hpp"
 
@@ -26,35 +26,41 @@ inline topology::Tree make_topology(const std::string& kind, int n,
   return topology::Tree::line(n);
 }
 
-inline harness::Cluster make_cluster(const proto::Algorithm& algo,
-                                     const std::string& topology_kind, int n,
-                                     NodeId holder = 1,
-                                     std::uint64_t seed = 1) {
-  harness::ClusterConfig config;
+/// The resource the single-CS experiments open: the paper's one critical
+/// section.
+inline constexpr ResourceId kCs = 0;
+
+/// A sim LockSpace of `n` nodes over the named topology (unit latency)
+/// serving one resource, kCs, whose token starts at `holder`.
+inline std::unique_ptr<service::LockSpace> make_space(
+    const proto::Algorithm& algo, const std::string& topology_kind, int n,
+    NodeId holder = 1, std::uint64_t seed = 1) {
+  service::LockSpaceConfig config;
   config.n = n;
-  // Singhal's staircase initialization pins the initial holder to node 1.
-  config.initial_token_holder = algo.name == "Singhal" ? 1 : holder;
+  config.algorithm = algo;
   config.tree = make_topology(topology_kind, n, seed);
   config.seed = seed;
-  return harness::Cluster(algo, std::move(config));
+  auto space = std::make_unique<service::LockSpace>(std::move(config));
+  space->open("cs", algo, holder);
+  return space;
 }
 
 /// Worst measured single-entry cost over every (token position, requester)
 /// placement — the empirical counterpart of the §6.1 upper bounds.
-inline std::uint64_t worst_case_probe(harness::Cluster& cluster) {
+inline std::uint64_t worst_case_probe(service::LockSpace& space) {
   std::uint64_t worst = 0;
-  const bool movable_token = cluster.algorithm().token_based;
-  for (NodeId holder = 1; holder <= cluster.size(); ++holder) {
+  const bool movable_token = space.algorithm(kCs).token_based;
+  for (NodeId holder = 1; holder <= space.nodes(); ++holder) {
     if (movable_token) {
-      harness::park_token_at(cluster, holder);
+      harness::park_token_at(space, kCs, holder);
     } else if (holder > 1) {
       break;  // placement-independent
     }
-    for (NodeId requester = 1; requester <= cluster.size(); ++requester) {
+    for (NodeId requester = 1; requester <= space.nodes(); ++requester) {
       const harness::ProbeResult probe =
-          harness::single_entry_probe(cluster, requester);
+          harness::single_entry_probe(space, kCs, requester);
       worst = std::max(worst, probe.messages_total);
-      if (movable_token) harness::park_token_at(cluster, holder);
+      if (movable_token) harness::park_token_at(space, kCs, holder);
     }
   }
   return worst;
@@ -62,19 +68,19 @@ inline std::uint64_t worst_case_probe(harness::Cluster& cluster) {
 
 /// Mean single-entry cost over all placements, weighted uniformly — the
 /// §6.2 "equal likelihood of holding the token" assumption.
-inline double average_probe(harness::Cluster& cluster) {
+inline double average_probe(service::LockSpace& space) {
   std::uint64_t total = 0;
   std::uint64_t count = 0;
-  const bool movable_token = cluster.algorithm().token_based;
-  const int holders = movable_token ? cluster.size() : 1;
+  const bool movable_token = space.algorithm(kCs).token_based;
+  const int holders = movable_token ? space.nodes() : 1;
   for (NodeId holder = 1; holder <= holders; ++holder) {
-    if (movable_token) harness::park_token_at(cluster, holder);
-    for (NodeId requester = 1; requester <= cluster.size(); ++requester) {
+    if (movable_token) harness::park_token_at(space, kCs, holder);
+    for (NodeId requester = 1; requester <= space.nodes(); ++requester) {
       const harness::ProbeResult probe =
-          harness::single_entry_probe(cluster, requester);
+          harness::single_entry_probe(space, kCs, requester);
       total += probe.messages_total;
       ++count;
-      if (movable_token) harness::park_token_at(cluster, holder);
+      if (movable_token) harness::park_token_at(space, kCs, holder);
     }
   }
   return static_cast<double>(total) / static_cast<double>(count);

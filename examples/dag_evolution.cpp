@@ -7,7 +7,7 @@
 
 #include "core/algorithm.hpp"
 #include "core/neilsen_node.hpp"
-#include "harness/cluster.hpp"
+#include "service/lock_space.hpp"
 #include "topology/tree.hpp"
 #include "trace/trace.hpp"
 
@@ -15,11 +15,11 @@ namespace {
 
 using namespace dmx;
 
-std::string dag(harness::Cluster& cluster) {
+std::string dag(service::LockSpace& space, ResourceId cs) {
   std::vector<const core::NeilsenNode*> nodes;
   nodes.push_back(nullptr);
-  for (NodeId v = 1; v <= cluster.size(); ++v) {
-    nodes.push_back(&cluster.node_as<core::NeilsenNode>(v));
+  for (NodeId v = 1; v <= space.nodes(); ++v) {
+    nodes.push_back(&dynamic_cast<core::NeilsenNode&>(space.node(cs, v)));
   }
   return trace::render_dag(nodes);
 }
@@ -32,41 +32,41 @@ int main() {
             << "Watch the REQUEST invert edges hop by hop, then the\n"
             << "PRIVILEGE fly straight to the requester.\n\n";
 
-  harness::ClusterConfig config;
+  const proto::Algorithm neilsen = core::make_neilsen_algorithm();
+  service::LockSpaceConfig config;
   config.n = 6;
-  config.initial_token_holder = 5;
+  config.algorithm = neilsen;
   config.tree = topology::Tree::line(6);
-  harness::Cluster cluster(core::make_neilsen_algorithm(),
-                           std::move(config));
+  service::LockSpace space(std::move(config));
+  const ResourceId cs = space.open("cs", neilsen, /*home=*/5);
   trace::MessageTrace trace;
-  cluster.network().set_observer(&trace);
+  space.network().set_observer(&trace);
 
-  std::cout << "initial:            " << dag(cluster) << "\n";
+  std::cout << "initial:            " << dag(space, cs) << "\n";
 
-  cluster.request_cs(5);
-  std::cout << "5 enters its CS:    " << dag(cluster) << "\n";
+  space.acquire(cs, 5);
+  std::cout << "5 enters its CS:    " << dag(space, cs) << "\n";
 
-  cluster.request_cs(3);
-  std::cout << "3 requests:         " << dag(cluster) << "\n";
+  space.acquire(cs, 3);
+  std::cout << "3 requests:         " << dag(space, cs) << "\n";
 
-  while (cluster.simulator().step()) {
+  while (space.simulator().step()) {
     std::cout << "after "
               << (trace.records().empty()
                       ? std::string("event")
                       : trace.records().back().description)
-              << " hop:  " << dag(cluster) << "\n";
-    if (cluster.is_waiting(3) &&
-        cluster.network().in_flight_count() == 0) {
+              << " hop:  " << dag(space, cs) << "\n";
+    if (space.is_waiting(cs, 3) && space.network().in_flight_count() == 0) {
       break;
     }
   }
 
-  cluster.release_cs(5);
-  std::cout << "5 releases:         " << dag(cluster) << "\n";
-  cluster.run_to_quiescence();
-  std::cout << "3 enters its CS:    " << dag(cluster) << "\n";
-  cluster.release_cs(3);
-  std::cout << "3 releases:         " << dag(cluster) << "\n";
+  space.release(cs, 5);
+  std::cout << "5 releases:         " << dag(space, cs) << "\n";
+  space.run_to_quiescence();
+  std::cout << "3 enters its CS:    " << dag(space, cs) << "\n";
+  space.release(cs, 3);
+  std::cout << "3 releases:         " << dag(space, cs) << "\n";
 
   std::cout << "\nmessage trace (sent / delivered / route / payload):\n"
             << trace.dump();

@@ -14,29 +14,33 @@
 #include "core/implicit_queue.hpp"
 #include "core/invariants.hpp"
 #include "core/neilsen_node.hpp"
-#include "harness/cluster.hpp"
+#include "service/lock_space.hpp"
 #include "topology/tree.hpp"
 
 int main(int argc, char** argv) {
   using namespace dmx;
   const int n = argc > 1 ? std::atoi(argv[1]) : 7;
 
-  harness::ClusterConfig config;
+  const proto::Algorithm neilsen = core::make_neilsen_algorithm();
+  service::LockSpaceConfig config;
   config.n = n;
-  config.initial_token_holder = 1;
+  config.algorithm = neilsen;
   config.tree = topology::Tree::random_tree(n, 4);
-  harness::Cluster cluster(core::make_neilsen_algorithm(),
-                           std::move(config));
+  service::LockSpace space(std::move(config));
+  const ResourceId cs = space.open("cs", neilsen, /*home=*/1);
 
   // Node 1 occupies the CS; everyone else queues up behind it.
-  cluster.request_cs(1);
+  space.acquire(cs, 1);
   std::vector<NodeId> service_order;
   for (NodeId v = 2; v <= n; ++v) {
-    cluster.request_cs(v, [&](NodeId who) { service_order.push_back(who); });
+    space.acquire(cs, v, [&](ResourceId, NodeId who) {
+      service_order.push_back(who);
+    });
   }
   // Absorb all in-flight requests into FOLLOW variables.
-  while (cluster.network().in_flight_count("REQUEST") > 0) {
-    cluster.simulator().step();
+  const net::MessageKind request = net::MessageKind::of("REQUEST");
+  while (space.network().in_flight_count(cs, space.epoch(cs), request) > 0) {
+    space.simulator().step();
   }
 
   std::cout << "frozen state with node 1 in its CS and " << n - 1
@@ -44,7 +48,7 @@ int main(int argc, char** argv) {
   core::NodeView nodes;
   nodes.push_back(nullptr);
   for (NodeId v = 1; v <= n; ++v) {
-    const auto& node = cluster.node_as<core::NeilsenNode>(v);
+    const auto& node = dynamic_cast<core::NeilsenNode&>(space.node(cs, v));
     nodes.push_back(&node);
     std::cout << "  node " << v << ": " << node.debug_state() << "\n";
   }
@@ -62,10 +66,10 @@ int main(int argc, char** argv) {
   std::cout << "\n";
 
   // Let the token walk the queue.
-  cluster.release_cs(1);
+  space.release(cs, 1);
   for (std::size_t i = 0; i < deduced.size(); ++i) {
-    cluster.run_to_quiescence();
-    cluster.release_cs(service_order.back());
+    space.run_to_quiescence();
+    space.release(cs, service_order.back());
   }
   std::cout << "actual service order:                               ";
   for (NodeId v : service_order) std::cout << " " << v;

@@ -9,9 +9,9 @@
 #include <iostream>
 
 #include "baselines/registry.hpp"
-#include "harness/cluster.hpp"
 #include "harness/probe.hpp"
 #include "metrics/table.hpp"
+#include "service/lock_space.hpp"
 #include "topology/tree.hpp"
 #include "workload/workload.hpp"
 
@@ -28,15 +28,15 @@ topology::Tree make(const std::string& kind, int n) {
   return topology::Tree::random_tree(n, 99);
 }
 
-std::uint64_t worst_probe(harness::Cluster& cluster) {
+std::uint64_t worst_probe(service::LockSpace& space, ResourceId cs) {
   std::uint64_t worst = 0;
-  for (NodeId holder = 1; holder <= cluster.size(); ++holder) {
-    harness::park_token_at(cluster, holder);
-    for (NodeId requester = 1; requester <= cluster.size(); ++requester) {
+  for (NodeId holder = 1; holder <= space.nodes(); ++holder) {
+    harness::park_token_at(space, cs, holder);
+    for (NodeId requester = 1; requester <= space.nodes(); ++requester) {
       worst = std::max(
           worst,
-          harness::single_entry_probe(cluster, requester).messages_total);
-      harness::park_token_at(cluster, holder);
+          harness::single_entry_probe(space, cs, requester).messages_total);
+      harness::park_token_at(space, cs, holder);
     }
   }
   return worst;
@@ -57,24 +57,25 @@ int main(int argc, char** argv) {
        {"line", "star", "kary2", "kary3", "radiating", "random"}) {
     const topology::Tree tree = make(kind, n);
 
-    harness::ClusterConfig config;
+    const proto::Algorithm neilsen = baselines::algorithm_by_name("Neilsen");
+    service::LockSpaceConfig config;
     config.n = n;
-    config.initial_token_holder = 1;
+    config.algorithm = neilsen;
     config.tree = tree;
-    harness::Cluster cluster(baselines::algorithm_by_name("Neilsen"),
-                             std::move(config));
+    service::LockSpace space(std::move(config));
+    const ResourceId cs = space.open("cs", neilsen, /*home=*/1);
 
-    const std::uint64_t worst = worst_probe(cluster);
+    const std::uint64_t worst = worst_probe(space, cs);
 
     std::uint64_t total = 0;
     std::uint64_t probes = 0;
     for (NodeId holder = 1; holder <= n; ++holder) {
-      harness::park_token_at(cluster, holder);
+      harness::park_token_at(space, cs, holder);
       for (NodeId requester = 1; requester <= n; ++requester) {
-        total += harness::single_entry_probe(cluster, requester)
+        total += harness::single_entry_probe(space, cs, requester)
                      .messages_total;
         ++probes;
-        harness::park_token_at(cluster, holder);
+        harness::park_token_at(space, cs, holder);
       }
     }
     const double average =
@@ -86,7 +87,7 @@ int main(int argc, char** argv) {
     wl.hold_lo = wl.hold_hi = 2;
     wl.seed = 23;
     const workload::WorkloadResult result =
-        workload::run_workload(cluster, wl);
+        workload::run_workload(space, cs, wl);
 
     table.add_row({kind, std::to_string(tree.diameter()),
                    std::to_string(tree.diameter() + 1), std::to_string(worst),

@@ -9,10 +9,20 @@
 
 #include <vector>
 
-#include "harness/cluster.hpp"
+#include "common/types.hpp"
 #include "metrics/summary.hpp"
 
 namespace dmx::harness {
+
+/// Application-level critical-section events of one resource. Drivers
+/// record them from their own acquire callbacks and release calls (see
+/// workload::run_workload).
+struct CsEvent {
+  enum class Kind { kRequest, kEnter, kExit };
+  Tick at = 0;
+  NodeId node = kNilNode;
+  Kind kind = Kind::kRequest;
+};
 
 /// Waiting time (request → enter) per entry.
 metrics::Summary waiting_times(const std::vector<CsEvent>& events);

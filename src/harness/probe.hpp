@@ -1,4 +1,4 @@
-// Single-entry measurement probes.
+// Single-entry measurement probes over one resource of a sim LockSpace.
 //
 // Chapter 6 states per-entry message counts for specific placements of the
 // requester and the token (e.g. "requesting node and sink node at opposite
@@ -7,8 +7,10 @@
 // exactly one request/enter/release cycle and reports what it cost.
 #pragma once
 
+#include <functional>
+
 #include "common/types.hpp"
-#include "harness/cluster.hpp"
+#include "service/lock_space.hpp"
 
 namespace dmx::harness {
 
@@ -24,16 +26,24 @@ struct ProbeResult {
   Tick ticks_to_enter = 0;
 };
 
-/// Parks the token at `target` by running one uncounted entry/release
+/// Node `v` requests resource `r`, holds the CS for `hold_ticks` once
+/// entered, then releases; `after_release` (optional) fires after the
+/// release.
+void hold_and_release(service::LockSpace& space, ResourceId r, NodeId v,
+                      Tick hold_ticks,
+                      std::function<void(NodeId)> after_release = nullptr);
+
+/// Parks `r`'s token at `target` by running one uncounted entry/release
 /// cycle there and draining the system. For assertion-based algorithms
 /// this simply makes `target` the most recent entrant (which is the
 /// analogous "favourable placement" notion, e.g. for Carvalho–Roucairol's
 /// retained permissions).
-void park_token_at(Cluster& cluster, NodeId target);
+void park_token_at(service::LockSpace& space, ResourceId r, NodeId target);
 
-/// Runs one complete measured entry from `requester`, holding the CS for
-/// `hold_ticks`. The system must be quiescent (no outstanding requests).
-ProbeResult single_entry_probe(Cluster& cluster, NodeId requester,
-                               Tick hold_ticks = 0);
+/// Runs one complete measured entry of `r` from `requester`, holding the
+/// CS for `hold_ticks`. The system must be quiescent (no outstanding
+/// requests).
+ProbeResult single_entry_probe(service::LockSpace& space, ResourceId r,
+                               NodeId requester, Tick hold_ticks = 0);
 
 }  // namespace dmx::harness

@@ -3,7 +3,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -14,6 +13,7 @@
 #include "net/message_kind.hpp"
 #include "proto/mutex_node.hpp"
 #include "proto/snapshot.hpp"
+#include "proto/world.hpp"
 #include "quorum/election.hpp"
 
 namespace dmx::modelcheck {
@@ -126,12 +126,9 @@ class Explorer {
     }
     hook_ = invariant_hook_for(*config.algorithm);
 
-    proto::ClusterSpec spec;
-    spec.n = config_.n;
-    spec.initial_token_holder = config_.initial_token_holder;
-    spec.tree = config_.tree;
-    nodes_ = config_.algorithm->factory(spec);
-    DMX_CHECK(nodes_.size() == static_cast<std::size_t>(config_.n) + 1);
+    nodes_ = proto::initial_world(*config_.algorithm, config_.n,
+                                  config_.initial_token_holder, config_.tree)
+                 .nodes;
     if (config_.mutate_initial) config_.mutate_initial(nodes_);
 
     if (config_.crash_node != kNilNode) {
@@ -146,16 +143,10 @@ class Explorer {
       regen_winner_ = quorum::elect_regenerator(config_.n, up);
       regen_enabled_ = config_.regeneration && regen_winner_ != kNilNode;
       if (regen_enabled_) {
-        proto::ClusterSpec regen_spec;
-        regen_spec.n = membership_.size();
-        regen_spec.initial_token_holder = membership_.rank_of(regen_winner_);
-        regen_spec.epoch = 1;
-        if (config_.algorithm->needs_tree) {
-          regen_tree_ = topology::Tree::star(
-              regen_spec.n, regen_spec.initial_token_holder);
-          regen_spec.tree = &*regen_tree_;
-        }
-        regen_nodes_ = config_.algorithm->factory(regen_spec);
+        regen_nodes_ = proto::regenerated_world(
+                           *config_.algorithm, membership_.size(),
+                           membership_.rank_of(regen_winner_))
+                           .nodes;
         regen_init_blob_.assign(1, "");
         for (NodeId r = 1; r <= membership_.size(); ++r) {
           regen_init_blob_.push_back(
@@ -585,7 +576,6 @@ class Explorer {
   fault::Membership membership_;
   NodeId regen_winner_ = kNilNode;
   bool regen_enabled_ = false;
-  std::optional<topology::Tree> regen_tree_;
   std::vector<std::unique_ptr<proto::MutexNode>> regen_nodes_;
   std::vector<std::string> regen_init_blob_;
   /// Live worker nodes, restored to whichever state is being expanded or

@@ -1,12 +1,10 @@
 #include "modelcheck/swarm.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <stdexcept>
-#include <vector>
+#include <string>
 
 #include "common/check.hpp"
-#include "harness/cluster.hpp"
 #include "modelcheck/invariants.hpp"
 #include "net/latency.hpp"
 #include "net/network.hpp"
@@ -126,27 +124,6 @@ topology::Tree make_tree(const SwarmConfig& config) {
   return topology::Tree::random_tree(config.n, config.seed);
 }
 
-StateView make_view(harness::Cluster& cluster) {
-  StateView view;
-  view.n = cluster.size();
-  view.node = [&cluster](NodeId v) -> const proto::MutexNode& {
-    return cluster.node(v);
-  };
-  view.phase = [&cluster](NodeId v) {
-    if (cluster.is_in_cs(v)) return CsPhase::kInCs;
-    return cluster.is_waiting(v) ? CsPhase::kWaiting : CsPhase::kIdle;
-  };
-  view.for_each_in_flight =
-      [&cluster](const std::function<void(NodeId, NodeId,
-                                          const net::Message&)>& fn) {
-        cluster.network().for_each_in_flight(
-            [&fn](const net::Envelope& env) {
-              fn(env.from, env.to, *env.message);
-            });
-      };
-  return view;
-}
-
 /// StateView of one resource of a LockSpace: the per-algorithm structural
 /// hooks (NEXT forest, HOLDER walk, ...) run unchanged against each
 /// resource's protocol instances, with in-flight traffic filtered to that
@@ -180,10 +157,20 @@ StateView make_space_view(service::LockSpace& space, ResourceId r) {
   return view;
 }
 
-/// Multi-resource swarm schedule: one LockSpace, `config.resources` named
-/// resources, a Zipf-skewed workload, and the full per-event invariant
-/// stack applied to the resource each event touched.
-SwarmResult run_swarm_space(const SwarmConfig& config) {
+}  // namespace
+
+SwarmResult run_swarm(const SwarmConfig& config) {
+  DMX_CHECK_MSG(config.algorithm != nullptr,
+                "SwarmConfig::algorithm is required");
+  DMX_CHECK(config.n >= 2);
+  DMX_CHECK(config.latency_lo >= 1 && config.latency_lo <= config.latency_hi);
+  DMX_CHECK(config.resources >= 1);
+  // A single fault-free resource runs the paper's single-CS closed loop
+  // (workload::run_workload) and keeps its own trace hash, whose goldens
+  // are pinned; several resources or a crash plan run the multi-resource
+  // Zipf workload.
+  const bool single = config.resources == 1 && config.fault_plan.empty();
+
   service::LockSpaceConfig space_config;
   space_config.n = config.n;
   space_config.algorithm = *config.algorithm;
@@ -204,9 +191,17 @@ SwarmResult run_swarm_space(const SwarmConfig& config) {
   result.repro = make_repro(config);
   service::LockSpace space(std::move(space_config));
 
-  SpaceTraceHasher hasher;
-  space.network().set_observer(&hasher);
+  SwarmTraceHasher single_hasher;
+  SpaceTraceHasher space_hasher;
+  if (single) {
+    space.network().set_observer(&single_hasher);
+  } else {
+    space.network().set_observer(&space_hasher);
+  }
 
+  // Re-check the algorithm's structural invariants after every event, on
+  // top of the space's built-in CS-exclusivity and token-uniqueness
+  // checks.
   const InvariantHook hook = invariant_hook_for(*config.algorithm);
   if (hook != nullptr) {
     space.set_post_event_hook([hook](service::LockSpace& s, ResourceId r) {
@@ -219,8 +214,12 @@ SwarmResult run_swarm_space(const SwarmConfig& config) {
     });
   }
 
-  for (int i = 1; i <= config.resources; ++i) {
-    space.open("swarm/res-" + std::to_string(i));
+  if (single) {
+    space.open("swarm/res-1", *config.algorithm, config.initial_token_holder);
+  } else {
+    for (int i = 1; i <= config.resources; ++i) {
+      space.open("swarm/res-" + std::to_string(i));
+    }
   }
 
   if (config.drop_probability > 0.0) {
@@ -230,27 +229,43 @@ SwarmResult run_swarm_space(const SwarmConfig& config) {
     space.network().duplicate_next(config.duplicate_next_kind);
   }
 
-  service::SpaceWorkloadConfig wl;
-  wl.target_entries = config.target_entries;
-  wl.clients_per_node = config.clients_per_node;
-  wl.zipf_s = config.zipf_s;
-  wl.mean_think_ticks = config.mean_think_ticks;
-  wl.hold_lo = config.hold_lo;
-  wl.hold_hi = config.hold_hi;
-  wl.seed = config.seed * 0x9e3779b97f4a7c15ULL + 1;
-  wl.queue_local = config.queue_local;
-
+  // Decouple the workload's RNG stream from the network's (both descend
+  // from the master seed, deterministically).
+  const std::uint64_t workload_seed = config.seed * 0x9e3779b97f4a7c15ULL + 1;
   try {
-    const service::SpaceWorkloadResult run =
-        service::run_space_workload(space, wl);
-    result.entries = run.entries;
-    result.makespan = run.makespan;
-    result.max_wait_ticks = run.max_wait_ticks;
+    if (single) {
+      workload::WorkloadConfig wl;
+      wl.target_entries = config.target_entries;
+      wl.mean_think_ticks = config.mean_think_ticks;
+      wl.hold_lo = config.hold_lo;
+      wl.hold_hi = config.hold_hi;
+      wl.seed = workload_seed;
+      const workload::WorkloadResult run =
+          workload::run_workload(space, /*r=*/0, wl);
+      result.entries = run.entries;
+      result.makespan = run.makespan;
+      result.max_wait_ticks = static_cast<Tick>(run.waiting_ticks.max());
+    } else {
+      service::SpaceWorkloadConfig wl;
+      wl.target_entries = config.target_entries;
+      wl.clients_per_node = config.clients_per_node;
+      wl.zipf_s = config.zipf_s;
+      wl.mean_think_ticks = config.mean_think_ticks;
+      wl.hold_lo = config.hold_lo;
+      wl.hold_hi = config.hold_hi;
+      wl.seed = workload_seed;
+      wl.queue_local = config.queue_local;
+      const service::SpaceWorkloadResult run =
+          service::run_space_workload(space, wl);
+      result.entries = run.entries;
+      result.makespan = run.makespan;
+      result.max_wait_ticks = run.max_wait_ticks;
+    }
   } catch (const std::logic_error& error) {
     result.violation = error.what();
   }
   result.messages = space.network().stats().total_sent;
-  result.trace_hash = hasher.digest();
+  result.trace_hash = single ? single_hasher.digest() : space_hasher.digest();
 
   if (result.violation.empty()) {
     for (ResourceId r = 0; r < space.resource_count(); ++r) {
@@ -282,112 +297,6 @@ SwarmResult run_swarm_space(const SwarmConfig& config) {
   result.ok = result.violation.empty();
   if (!result.ok) result.violation += "\nrepro: " + result.repro;
   space.network().set_observer(nullptr);
-  return result;
-}
-
-}  // namespace
-
-SwarmResult run_swarm(const SwarmConfig& config) {
-  DMX_CHECK_MSG(config.algorithm != nullptr,
-                "SwarmConfig::algorithm is required");
-  DMX_CHECK(config.n >= 2);
-  DMX_CHECK(config.latency_lo >= 1 && config.latency_lo <= config.latency_hi);
-  DMX_CHECK(config.resources >= 1);
-  if (config.resources > 1 || !config.fault_plan.empty()) {
-    // Crash faults always run on the LockSpace substrate — that is where
-    // the detection/election/regeneration machinery lives.
-    return run_swarm_space(config);
-  }
-
-  harness::ClusterConfig cluster_config;
-  cluster_config.n = config.n;
-  cluster_config.initial_token_holder = config.initial_token_holder;
-  if (config.algorithm->needs_tree) {
-    cluster_config.tree = make_tree(config);
-  }
-  cluster_config.latency_model =
-      std::make_unique<net::UniformLatency>(config.latency_lo,
-                                            config.latency_hi);
-  cluster_config.seed = config.seed;
-
-  SwarmResult result;
-  result.repro = make_repro(config);
-  harness::Cluster cluster(*config.algorithm, std::move(cluster_config));
-
-  SwarmTraceHasher hasher;
-  cluster.network().set_observer(&hasher);
-
-  // Re-check the algorithm's structural invariants after every event, on
-  // top of the cluster's built-in CS-exclusivity and token-uniqueness
-  // checks.
-  const InvariantHook hook = invariant_hook_for(*config.algorithm);
-  if (hook != nullptr) {
-    cluster.set_post_event_hook([hook](harness::Cluster& c) {
-      const std::string violation = hook(make_view(c));
-      if (!violation.empty()) throw std::logic_error(violation);
-    });
-  }
-
-  if (config.drop_probability > 0.0) {
-    cluster.network().set_drop_probability(config.drop_probability);
-  }
-  if (!config.duplicate_next_kind.empty()) {
-    cluster.network().duplicate_next(config.duplicate_next_kind);
-  }
-
-  workload::WorkloadConfig wl;
-  wl.target_entries = config.target_entries;
-  wl.mean_think_ticks = config.mean_think_ticks;
-  wl.hold_lo = config.hold_lo;
-  wl.hold_hi = config.hold_hi;
-  // Decouple the workload's RNG stream from the network's (both descend
-  // from the master seed, deterministically).
-  wl.seed = config.seed * 0x9e3779b97f4a7c15ULL + 1;
-
-  try {
-    const workload::WorkloadResult run = workload::run_workload(cluster, wl);
-    result.entries = run.entries;
-    result.makespan = run.makespan;
-  } catch (const std::logic_error& error) {
-    result.violation = error.what();
-  }
-  result.messages = cluster.network().stats().total_sent;
-  result.trace_hash = hasher.digest();
-
-  if (result.violation.empty()) {
-    // Bounded waiting: every request must have been granted (the drain in
-    // run_workload leaves no waiter behind in a live algorithm), and the
-    // longest request→grant wait is reported as the witness.
-    std::vector<Tick> requested_at(static_cast<std::size_t>(config.n) + 1,
-                                   -1);
-    for (const harness::CsEvent& event : cluster.events()) {
-      const auto v = static_cast<std::size_t>(event.node);
-      switch (event.kind) {
-        case harness::CsEvent::Kind::kRequest:
-          requested_at[v] = event.at;
-          break;
-        case harness::CsEvent::Kind::kEnter:
-          if (requested_at[v] >= 0) {
-            result.max_wait_ticks =
-                std::max(result.max_wait_ticks, event.at - requested_at[v]);
-            requested_at[v] = -1;
-          }
-          break;
-        case harness::CsEvent::Kind::kExit:
-          break;
-      }
-    }
-    for (NodeId v = 1; v <= config.n; ++v) {
-      if (cluster.is_waiting(v)) {
-        result.violation = "node " + std::to_string(v) +
-                           " still waiting after quiescence";
-        break;
-      }
-    }
-  }
-  result.ok = result.violation.empty();
-  if (!result.ok) result.violation += "\nrepro: " + result.repro;
-  cluster.network().set_observer(nullptr);
   return result;
 }
 

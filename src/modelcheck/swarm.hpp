@@ -52,8 +52,8 @@ struct SwarmConfig {
   double drop_probability = 0.0;
   /// One-shot duplication of the next message of this kind ("" = off).
   std::string duplicate_next_kind;
-  /// Crash/recovery schedule in virtual time. A non-empty plan routes the
-  /// run through the LockSpace substrate (even single-resource) so the
+  /// Crash/recovery schedule in virtual time. A non-empty plan runs the
+  /// multi-resource workload (even over one resource) so the
   /// crash-repair machinery — detection, election, regeneration, epoch
   /// fencing — is under the swarm's per-event invariant microscope. With
   /// `crash_recovery_enabled` the run must still complete green; with it
@@ -62,8 +62,8 @@ struct SwarmConfig {
   bool crash_recovery_enabled = true;
   /// Failure-detection timeout for crash repairs (virtual ticks).
   Tick detect_after = 25;
-  /// Multi-resource mode: > 1 runs the schedule against a service::
-  /// LockSpace serving this many named resources over one network, with
+  /// Multi-resource mode: > 1 runs the schedule against this many named
+  /// resources of the service::LockSpace over one network, with
   /// CS exclusivity and token uniqueness checked PER RESOURCE (plus the
   /// per-algorithm structural hooks, per resource) after every event.
   /// Cross-resource interleavings — envelopes of many resources racing on

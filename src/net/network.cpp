@@ -77,7 +77,6 @@ void Network::send(ResourceId resource, NodeId from, NodeId to,
   stats_.sent_by_kind_id[kind.id()] += 1;
   if (static_cast<std::size_t>(resource) >= resource_stats_.size()) {
     resource_stats_.resize(static_cast<std::size_t>(resource) + 1);
-    in_flight_by_resource_.resize(static_cast<std::size_t>(resource) + 1);
   }
   MessageStats& rstats = resource_stats_[static_cast<std::size_t>(resource)];
   rstats.total_sent += 1;
@@ -136,16 +135,6 @@ void Network::send(ResourceId resource, NodeId from, NodeId to,
   env.message = std::move(message);
   slots_[slot].active = true;
   ++in_flight_count_;
-  if (kind.id() >= in_flight_by_kind_.size()) {
-    in_flight_by_kind_.resize(kind.id() + 1, 0);  // warms once per kind
-  }
-  ++in_flight_by_kind_[kind.id()];
-  auto& resource_kinds =
-      in_flight_by_resource_[static_cast<std::size_t>(resource)];
-  if (kind.id() >= resource_kinds.size()) {
-    resource_kinds.resize(kind.id() + 1, 0);
-  }
-  ++resource_kinds[kind.id()];
   if (static_cast<std::size_t>(resource) >= in_flight_by_epoch_.size()) {
     in_flight_by_epoch_.resize(static_cast<std::size_t>(resource) + 1);
   }
@@ -183,9 +172,6 @@ void Network::deliver(std::uint32_t slot_index) {
   slot.next_free = free_head_;
   free_head_ = slot_index;
   --in_flight_count_;
-  --in_flight_by_kind_[env.message->kind_id().id()];
-  --in_flight_by_resource_[static_cast<std::size_t>(env.resource)]
-                          [env.message->kind_id().id()];
   --in_flight_by_epoch_[static_cast<std::size_t>(env.resource)]
                        [static_cast<std::size_t>(env.epoch)]
                        [env.message->kind_id().id()];
@@ -305,26 +291,6 @@ Epoch Network::resource_epoch(ResourceId resource) const {
 
 void Network::set_discard_handler(DiscardHandler handler) {
   discard_handler_ = std::move(handler);
-}
-
-std::size_t Network::in_flight_count(MessageKind kind) const {
-  if (!kind.valid() || kind.id() >= in_flight_by_kind_.size()) return 0;
-  return in_flight_by_kind_[kind.id()];
-}
-
-std::size_t Network::in_flight_count(std::string_view kind) const {
-  return in_flight_count(MessageKind::lookup(kind));
-}
-
-std::size_t Network::in_flight_count(ResourceId resource,
-                                     MessageKind kind) const {
-  if (resource < 0 ||
-      static_cast<std::size_t>(resource) >= in_flight_by_resource_.size()) {
-    return 0;
-  }
-  const auto& kinds = in_flight_by_resource_[static_cast<std::size_t>(resource)];
-  if (!kind.valid() || kind.id() >= kinds.size()) return 0;
-  return kinds[kind.id()];
 }
 
 std::size_t Network::in_flight_count(ResourceId resource, Epoch epoch,

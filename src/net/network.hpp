@@ -205,21 +205,12 @@ class Network {
   /// Number of messages currently in flight.
   std::size_t in_flight_count() const { return in_flight_count_; }
 
-  /// Number of in-flight messages of one kind (e.g. "PRIVILEGE"). O(1):
-  /// per-kind counters are maintained on send/deliver, because the
-  /// token-uniqueness invariant queries this after every event.
-  std::size_t in_flight_count(MessageKind kind) const;
-  std::size_t in_flight_count(std::string_view kind) const;
-
-  /// Number of in-flight messages of one kind on one resource. O(1): the
-  /// per-resource LockSpace re-checks token uniqueness for the delivered
-  /// envelope's resource after every event.
-  std::size_t in_flight_count(ResourceId resource, MessageKind kind) const;
-
   /// Number of in-flight messages of one kind on one resource stamped
-  /// with exactly `epoch`. O(1). The fault-tolerant token-uniqueness
-  /// invariant counts only current-epoch tokens: a stale PRIVILEGE still
-  /// in flight is already dead (it will be fenced), so it must not make a
+  /// with exactly `epoch` (a single-resource substrate asks for resource
+  /// 0, epoch 0). O(1): counters are maintained on send/deliver, because
+  /// the LockSpace re-checks token uniqueness for the touched resource
+  /// after every event. Counting only the current epoch's tokens keeps a
+  /// stale PRIVILEGE still in flight (it will be fenced) from making a
   /// regenerated token look like a duplicate.
   std::size_t in_flight_count(ResourceId resource, Epoch epoch,
                               MessageKind kind) const;
@@ -263,15 +254,11 @@ class Network {
   std::vector<EnvelopeSlot> slots_;
   std::uint32_t free_head_ = kNpos;
   std::size_t in_flight_count_ = 0;
-  // In-flight messages per kind id (missing entries mean zero).
-  std::vector<std::size_t> in_flight_by_kind_;
-  // Per-resource layers of the same counters, indexed by resource id then
-  // kind id. Grown on first use of a resource/kind; steady state is
-  // allocation-free once every (resource, kind) pair has been seen.
-  std::vector<std::vector<std::size_t>> in_flight_by_resource_;
   std::vector<MessageStats> resource_stats_;
-  // Fault state. Epochs stay tiny (one bump per repair), so the per-epoch
-  // counter layer [resource][epoch][kind] remains dense and O(1) to probe.
+  // Fault state. In-flight messages are counted per [resource][epoch][kind
+  // id], grown on first use (steady state allocates nothing); epochs stay
+  // tiny (one bump per repair), so the layer remains dense and O(1) to
+  // probe.
   std::vector<std::uint8_t> node_down_;        // index 1..n, 1 = crashed
   std::vector<std::uint8_t> link_severed_;     // dense (n+1)^2, symmetric
   std::vector<Epoch> resource_epoch_;          // index by resource, 0 default

@@ -22,14 +22,8 @@ struct ClusterSpec {
   NodeId initial_token_holder = 1;
   /// Logical structure for path-forwarding algorithms (Neilsen, Raymond).
   /// Ignored by broadcast/quorum algorithms. May be null for those.
+  /// Factories read it during the call only.
   const topology::Tree* tree = nullptr;
-  /// Seed for any algorithm-internal randomness (none of the implemented
-  /// protocols randomize, but the spec carries it for extensions).
-  std::uint64_t seed = 1;
-  /// Configuration generation these instances belong to: 0 for the initial
-  /// membership, bumped by every crash-recovery structure repair. Snapshots
-  /// and repair logs use it to tell regenerated worlds apart.
-  Epoch epoch = 0;
 };
 
 /// Builds the N protocol nodes (index 0 unused, 1..n populated) in their

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "proto/world.hpp"
 #include "telemetry/flight_recorder.hpp"
 
 namespace dmx::service {
@@ -537,7 +538,7 @@ GateResource& GateSet::add_resource(const std::string& name,
   auto res = std::make_unique<GateResource>();
   res->name = name;
   res->algorithm = algorithm;
-  res->home = algorithm.name == "Singhal" ? 1 : home;
+  res->home = proto::initial_holder(algorithm, home);
   // Resolved here in cold code; the lock/unlock hot paths then record
   // through plain ids.
   auto& registry = telemetry::Registry::global();
@@ -550,19 +551,6 @@ GateResource& GateSet::add_resource(const std::string& name,
   }
   resources_.push_back(std::move(res));
   return *resources_.back();
-}
-
-std::vector<std::unique_ptr<proto::MutexNode>> GateSet::initial_world(
-    ResourceId r, const topology::Tree* tree, std::uint64_t seed) const {
-  const GateResource& res = resource(r);
-  proto::ClusterSpec spec;
-  spec.n = n_;
-  spec.initial_token_holder = res.home;
-  spec.tree = tree;
-  spec.seed = seed;
-  auto nodes = res.algorithm.factory(spec);
-  DMX_CHECK(nodes.size() == static_cast<std::size_t>(n_) + 1);
-  return nodes;
 }
 
 Gate& GateSet::add_gate(GateHost& host, ResourceId r, NodeId self,

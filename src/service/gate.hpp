@@ -83,7 +83,6 @@
 #include "proto/mutex_node.hpp"
 #include "service/lease.hpp"
 #include "telemetry/telemetry.hpp"
-#include "topology/tree.hpp"
 
 namespace dmx::service {
 
@@ -303,10 +302,6 @@ class GateSet {
   /// at `home` (Singhal's staircase pins its token to node 1 instead).
   GateResource& add_resource(const std::string& name,
                              const proto::Algorithm& algorithm, NodeId home);
-  /// Resource `r`'s initial world: all n protocol instances (index 0
-  /// unused), the token at its home.
-  std::vector<std::unique_ptr<proto::MutexNode>> initial_world(
-      ResourceId r, const topology::Tree* tree, std::uint64_t seed) const;
   /// Registers a gate that routes through `host`.
   Gate& add_gate(GateHost& host, ResourceId r, NodeId self,
                  std::uint64_t seed, std::unique_ptr<proto::MutexNode> node);

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "proto/world.hpp"
 #include "quorum/election.hpp"
 
 namespace dmx::service {
@@ -83,26 +84,25 @@ LockSpace::LockSpace(LockSpaceConfig config)
 
 LockSpace::~LockSpace() = default;
 
-void LockSpace::ensure_tree() {
-  if (!config_.tree.has_value()) {
-    config_.tree = topology::Tree::star(config_.n, 1);
-  }
-  DMX_CHECK(config_.tree->size() == config_.n);
-}
-
 ResourceId LockSpace::open(std::string_view name) {
   return open(name, config_.algorithm);
 }
 
 ResourceId LockSpace::open(std::string_view name,
-                           const proto::Algorithm& algorithm) {
+                           const proto::Algorithm& algorithm, NodeId home) {
   const ResourceId existing = directory_.lookup(name);
   if (existing != kNilResource) {
-    DMX_CHECK_MSG(resource(existing).algorithm.name == algorithm.name,
+    const Resource& res = resource(existing);
+    DMX_CHECK_MSG(res.algorithm.name == algorithm.name,
                   "resource " << name << " already open with algorithm "
-                              << resource(existing).algorithm.name);
+                              << res.algorithm.name);
+    DMX_CHECK_MSG(home == kNilNode || home == res.home,
+                  "resource " << name << " already open with home "
+                              << res.home);
     return existing;
   }
+  DMX_CHECK_MSG(home == kNilNode || (home >= 1 && home <= config_.n),
+                "home " << home << " outside 1.." << config_.n);
 
   const ResourceId id = directory_.open(name);
   auto res = std::make_unique<Resource>();
@@ -111,24 +111,17 @@ ResourceId LockSpace::open(std::string_view name,
   for (const std::string& kind : algorithm.token_message_kinds) {
     res->token_kinds.push_back(net::MessageKind::of(kind));
   }
-  res->home = directory_.home_node(id);
+  res->home = home != kNilNode ? home : directory_.home_node(id);
 
-  proto::ClusterSpec spec;
-  spec.n = config_.n;
-  // Singhal's staircase initialization pins the token to node 1; every
-  // other algorithm parks the resource's token at its home node.
-  spec.initial_token_holder = algorithm.name == "Singhal" ? 1 : res->home;
-  if (algorithm.needs_tree) {
-    ensure_tree();
-    spec.tree = &*config_.tree;
-  }
-  spec.seed = config_.seed;
-  res->nodes = algorithm.factory(spec);
-  DMX_CHECK_MSG(res->nodes.size() == static_cast<std::size_t>(config_.n) + 1,
-                "factory must return n+1 slots (index 0 unused)");
+  proto::World world =
+      proto::initial_world(algorithm, config_.n, res->home,
+                           config_.tree ? &*config_.tree : nullptr);
+  // The first path-forwarding resource builds the default star; the rest
+  // share it.
+  if (world.tree) config_.tree = std::move(world.tree);
+  res->nodes = std::move(world.nodes);
   res->contexts.reserve(static_cast<std::size_t>(config_.n));
   for (NodeId v = 1; v <= config_.n; ++v) {
-    DMX_CHECK(res->nodes[static_cast<std::size_t>(v)] != nullptr);
     res->contexts.push_back(std::make_unique<ResourceContext>(*this, id, v));
   }
   res->app_state.assign(static_cast<std::size_t>(config_.n) + 1,
@@ -173,6 +166,12 @@ proto::MutexNode& LockSpace::node(ResourceId r, NodeId v) {
   Resource& res = resource(r);
   DMX_CHECK(v >= 1 && v <= config_.n);
   return *res.nodes[static_cast<std::size_t>(v)];
+}
+
+proto::Context& LockSpace::context(ResourceId r, NodeId v) {
+  Resource& res = resource(r);
+  DMX_CHECK(v >= 1 && v <= config_.n);
+  return *res.contexts[static_cast<std::size_t>(v) - 1];
 }
 
 Ticket LockSpace::acquire(ResourceId r, NodeId v, GrantCallback on_grant) {
@@ -430,7 +429,7 @@ void LockSpace::check_invariants(ResourceId r) {
   }
   std::size_t tokens = static_cast<std::size_t>(res.resident_tokens);
   for (const net::MessageKind kind : res.token_kinds) {
-    tokens += network_->in_flight_count(r, kind);
+    tokens += network_->in_flight_count(r, res.epoch, kind);
   }
   DMX_CHECK_MSG(tokens == 1, "resource " << directory_.name(r)
                                          << " token count is " << tokens
@@ -613,20 +612,9 @@ void LockSpace::repair_resource(ResourceId r) {
 
   // Rebuild the protocol world over the compact survivor ids. The winner
   // is the smallest live node, so its rank is 1 — which also satisfies
-  // Singhal's pinned initial holder. Path-forwarding algorithms get a
-  // fresh star over the survivors rooted at the winner (every survivor
-  // <= 2 hops from the token, the paper's best topology).
-  proto::ClusterSpec spec;
-  spec.n = k;
-  spec.initial_token_holder = membership->rank_of(winner);
-  if (res.algorithm.needs_tree) {
-    res.repair_tree = topology::Tree::star(k, spec.initial_token_holder);
-    spec.tree = &*res.repair_tree;
-  }
-  spec.seed = config_.seed;
-  spec.epoch = res.epoch;
-  auto fresh = res.algorithm.factory(spec);
-  DMX_CHECK(fresh.size() == static_cast<std::size_t>(k) + 1);
+  // Singhal's pinned initial holder.
+  proto::World fresh = proto::regenerated_world(res.algorithm, k,
+                                                membership->rank_of(winner));
 
   std::vector<NodeId> reintegrated;
   for (NodeId rank = 1; rank <= k; ++rank) {
@@ -636,7 +624,7 @@ void LockSpace::repair_resource(ResourceId r) {
       reintegrated.push_back(original);
     }
     res.nodes[static_cast<std::size_t>(original)] =
-        std::move(fresh[static_cast<std::size_t>(rank)]);
+        std::move(fresh.nodes[static_cast<std::size_t>(rank)]);
     res.node_epoch[static_cast<std::size_t>(original)] = res.epoch;
     res.contexts[static_cast<std::size_t>(original) - 1]->rebind(membership,
                                                                  res.epoch);

@@ -8,8 +8,7 @@
 // Directory (lock name -> home node = initial token holder / tree root),
 // so it is deterministic and stable as resources are added.
 //
-// Invariants are per resource and re-checked after every event, exactly
-// as harness::Cluster does for its single critical section:
+// Invariants are per resource and re-checked after every event:
 //  * at most one node inside resource r's critical section;
 //  * for token-based algorithms, exactly one token PER RESOURCE, counting
 //    resident tokens and in-flight token messages. Both sides are O(1):
@@ -116,18 +115,22 @@ class LockSpace {
   const Directory& directory() const { return directory_; }
 
   /// Opens (or finds) the named resource, instantiating its protocol nodes
-  /// with the token parked at the directory's home node. The two-argument
-  /// form selects a per-resource algorithm (e.g. Raymond for one shard,
-  /// Neilsen for the rest); it must agree with any previous open of the
-  /// same name.
+  /// with the token parked at its home node: `home` when given, else the
+  /// directory's placement. The longer form selects a per-resource
+  /// algorithm (e.g. Raymond for one shard, Neilsen for the rest) and may
+  /// pin the home (the paper's single-CS experiments place the token
+  /// themselves); both must agree with any previous open of the name.
   ResourceId open(std::string_view name);
-  ResourceId open(std::string_view name, const proto::Algorithm& algorithm);
+  ResourceId open(std::string_view name, const proto::Algorithm& algorithm,
+                  NodeId home = kNilNode);
 
   ResourceId lookup(std::string_view name) const {
     return directory_.lookup(name);
   }
   const std::string& name(ResourceId r) const { return directory_.name(r); }
-  NodeId home_node(ResourceId r) const { return directory_.home_node(r); }
+  /// `r`'s home: the explicit one it was opened with, else the
+  /// directory's. The token starts there (Singhal's at node 1 regardless).
+  NodeId home_node(ResourceId r) const { return resource(r).home; }
   const proto::Algorithm& algorithm(ResourceId r) const;
 
   /// Async acquire: node `v` requests resource `r`. Returns a completion
@@ -149,6 +152,9 @@ class LockSpace {
   NodeId occupant(ResourceId r) const;
 
   proto::MutexNode& node(ResourceId r, NodeId v);
+  /// Node `v`'s protocol-facing context for `r`, for algorithm-specific
+  /// entry points such as NeilsenNode::start_init.
+  proto::Context& context(ResourceId r, NodeId v);
 
   std::uint64_t total_entries() const { return total_entries_; }
   std::uint64_t entries(ResourceId r) const;
@@ -244,9 +250,6 @@ class LockSpace {
     Epoch epoch = 0;
     std::vector<Epoch> node_epoch;  // 1..n: epoch of each node's instance
     std::shared_ptr<const fault::Membership> membership;  // null = identity
-    /// Tree the current epoch's path-forwarding instances were built over
-    /// (kept alive because factories may retain structure derived from it).
-    std::optional<topology::Tree> repair_tree;
     bool degraded = false;
     /// Set when a repair arrived while a live node occupied the CS: the
     /// repair runs inside that node's release() instead, which then skips
@@ -261,7 +264,6 @@ class LockSpace {
 
   Resource& resource(ResourceId r);
   const Resource& resource(ResourceId r) const;
-  void ensure_tree();
   void on_grant(ResourceId r, NodeId v);
   void deliver(const net::Envelope& env);
   void on_discard(const net::Envelope& env, net::Network::DiscardReason reason);

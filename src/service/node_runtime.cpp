@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "proto/world.hpp"
 #include "quorum/election.hpp"
 #include "service/repair_messages.hpp"
 #include "telemetry/flight_recorder.hpp"
@@ -23,10 +24,9 @@ constexpr Epoch kNoWorld = ~Epoch{0};
 }  // namespace
 
 NodeRuntime::NodeRuntime(GateSet& set, Transport& transport, NodeId self,
-                         std::uint64_t seed, bool recovery_enabled,
-                         RepairHook on_repair)
+                         bool recovery_enabled, RepairHook on_repair)
     : set_(set), transport_(transport), self_(self), n_(set.nodes()),
-      seed_(seed), recovery_enabled_(recovery_enabled),
+      recovery_enabled_(recovery_enabled),
       on_repair_(std::move(on_repair)),
       up_(std::make_unique<std::atomic<bool>[]>(
           static_cast<std::size_t>(n_) + 1)),
@@ -354,25 +354,13 @@ void NodeRuntime::try_install_locked(ResourceId r, Slot& s) {
 void NodeRuntime::install_world_locked(ResourceId r, Slot& s) {
   const Epoch e = s.target;
   const GateResource& res = set_.resource(r);
-  proto::ClusterSpec spec;
-  spec.n = s.membership->size();
-  spec.initial_token_holder = s.membership->rank_of(s.winner);
-  spec.seed = seed_;
-  spec.epoch = e;
-  if (res.algorithm.needs_tree) {
-    // Star over the survivors rooted at the winner: diameter 2 from any
-    // survivor to the regenerated token, independent of who died.
-    s.trees.push_back(std::make_unique<topology::Tree>(
-        topology::Tree::star(spec.n, spec.initial_token_holder)));
-    spec.tree = s.trees.back().get();
-  }
-  auto fresh = res.algorithm.factory(spec);
-  DMX_CHECK(fresh.size() == static_cast<std::size_t>(spec.n) + 1);
+  proto::World fresh = proto::regenerated_world(
+      res.algorithm, s.membership->size(), s.membership->rank_of(s.winner));
   Gate& g = *s.gate;
   // The reset task is unfenced — it IS the epoch transition on this
   // strand; every later same-strand task observes the fresh world.
   g.post_reset(e, s.membership,
-               std::move(fresh[static_cast<std::size_t>(
+               std::move(fresh.nodes[static_cast<std::size_t>(
                    s.membership->rank_of(self_))]));
   // Re-issue behind the reset for parked waiters; any message it
   // triggers lands behind the destination's reset or in its parked queue.

@@ -57,7 +57,6 @@
 #include "net/message.hpp"
 #include "service/gate.hpp"
 #include "service/transport.hpp"
-#include "topology/tree.hpp"
 
 namespace dmx::service {
 
@@ -72,11 +71,9 @@ class NodeRuntime final : private GateHost {
   using RepairHook = std::function<void(Epoch, const fault::Membership&)>;
 
   /// Node `self` of `set`'s cluster, serving every resource registered
-  /// with `set` so far. `seed` seeds the worlds repairs build. Add every
-  /// resource's gate before the first frame.
+  /// with `set` so far. Add every resource's gate before the first frame.
   NodeRuntime(GateSet& set, Transport& transport, NodeId self,
-              std::uint64_t seed, bool recovery_enabled,
-              RepairHook on_repair = {});
+              bool recovery_enabled, RepairHook on_repair = {});
 
   NodeRuntime(const NodeRuntime&) = delete;
   NodeRuntime& operator=(const NodeRuntime&) = delete;
@@ -156,8 +153,6 @@ class NodeRuntime final : private GateHost {
     std::vector<std::uint8_t> acks;
     int acks_missing = 0;
     std::vector<QueuedFrame> queued;
-    /// Trees of repaired worlds, alive as long as their instances.
-    std::vector<std::unique_ptr<topology::Tree>> trees;
     /// When the current repair was first observed (0 = none in flight).
     std::uint64_t repair_started_ns = 0;
   };
@@ -203,7 +198,6 @@ class NodeRuntime final : private GateHost {
   Transport& transport_;
   const NodeId self_;
   const int n_;
-  const std::uint64_t seed_;
   const bool recovery_enabled_;
   const RepairHook on_repair_;
   /// Link liveness by original id; self is always up.

@@ -4,14 +4,14 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "proto/world.hpp"
 #include "service/repair_messages.hpp"
 
 namespace dmx::service {
 
 ThreadedLockSpace::LoopbackTransport::LoopbackTransport(
     ThreadedLockSpace& space, NodeId self)
-    : runtime(space.gates_, *this, self, space.config_.seed,
-              space.config_.recovery_enabled),
+    : runtime(space.gates_, *this, self, space.config_.recovery_enabled),
       inbox(space.gates_.executor()), space_(space) {}
 
 void ThreadedLockSpace::LoopbackTransport::send_frame(
@@ -54,7 +54,6 @@ ThreadedLockSpace::ThreadedLockSpace(ThreadedLockSpaceConfig config)
   // Every resource's metrics are interned before any protocol instance
   // is built: interleaving the registry lookups with the factories made
   // construction of a 64-resource space ~8% slower.
-  bool needs_tree = false;
   for (const std::string& name : config_.resources) {
     const proto::Algorithm* algorithm = &config_.algorithm;
     for (const auto& [override_name, override_algorithm] :
@@ -63,10 +62,6 @@ ThreadedLockSpace::ThreadedLockSpace(ThreadedLockSpaceConfig config)
     }
     const ResourceId r = directory_.open(name);
     gates_.add_resource(name, *algorithm, directory_.home_node(r));
-    needs_tree = needs_tree || algorithm->needs_tree;
-  }
-  if (needs_tree && !config_.tree.has_value()) {
-    config_.tree = topology::Tree::star(config_.n, 1);
   }
 
   nodes_.reserve(static_cast<std::size_t>(config_.n));
@@ -74,13 +69,17 @@ ThreadedLockSpace::ThreadedLockSpace(ThreadedLockSpaceConfig config)
     nodes_.push_back(std::make_unique<LoopbackTransport>(*this, v));
   }
   Rng seeder(config_.seed);
-  const topology::Tree* tree = config_.tree.has_value() ? &*config_.tree
-                                                        : nullptr;
   for (ResourceId r = 0; r < resource_count(); ++r) {
-    auto nodes = gates_.initial_world(r, tree, config_.seed);
+    const GateResource& res = gates_.resource(r);
+    proto::World world = proto::initial_world(
+        res.algorithm, config_.n, res.home,
+        config_.tree ? &*config_.tree : nullptr);
+    // The first path-forwarding resource builds the default star; the
+    // rest share it.
+    if (world.tree) config_.tree = std::move(world.tree);
     for (NodeId v = 1; v <= config_.n; ++v) {
       runtime(v).add_gate(r, seeder.next(),
-                          std::move(nodes[static_cast<std::size_t>(v)]));
+                          std::move(world.nodes[static_cast<std::size_t>(v)]));
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "proto/world.hpp"
 
 namespace dmx::transport {
 
@@ -16,10 +17,6 @@ DistributedLockSpace::DistributedLockSpace(DistributedLockSpaceConfig config)
                 "self id " << config_.self << " outside 1.." << config_.n);
   DMX_CHECK_MSG(!config_.resources.empty(),
                 "a DistributedLockSpace needs at least one resource");
-  if (config_.algorithm.needs_tree && !config_.tree.has_value()) {
-    config_.tree = topology::Tree::star(config_.n, 1);
-  }
-
   for (const std::string& name : config_.resources) {
     gates_.add_resource(name, config_.algorithm,
                         directory_.home_node(directory_.open(name)));
@@ -33,17 +30,19 @@ DistributedLockSpace::DistributedLockSpace(DistributedLockSpaceConfig config)
       },
       [this](NodeId peer) { runtime_->on_peer_down(peer); });
   runtime_ = std::make_unique<service::NodeRuntime>(
-      gates_, *loop_, config_.self, config_.seed, config_.recovery_enabled,
+      gates_, *loop_, config_.self, config_.recovery_enabled,
       config_.on_repair);
-  const topology::Tree* tree = config_.tree.has_value() ? &*config_.tree
-                                                        : nullptr;
   for (ResourceId r = 0; r < resource_count(); ++r) {
     // Every process derives the same initial world; this one keeps its
     // own instance.
-    auto nodes = gates_.initial_world(r, tree, config_.seed);
+    const service::GateResource& res = gates_.resource(r);
+    proto::World world = proto::initial_world(
+        res.algorithm, config_.n, res.home,
+        config_.tree ? &*config_.tree : nullptr);
+    if (world.tree) config_.tree = std::move(world.tree);
     runtime_->add_gate(
         r, config_.seed,
-        std::move(nodes[static_cast<std::size_t>(config_.self)]));
+        std::move(world.nodes[static_cast<std::size_t>(config_.self)]));
   }
 }
 

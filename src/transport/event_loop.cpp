@@ -324,8 +324,8 @@ void EventLoop::flush(Peer& peer) {
 void EventLoop::teardown(Peer& peer) {
   const int fd = peer.fd;
   const NodeId id = peer.id;
-  const bool crashed = id != kNilNode && !peer.said_goodbye &&
-                       !stopping_.load(std::memory_order_relaxed);
+  bool crashed = id != kNilNode && !peer.said_goodbye &&
+                 !stopping_.load(std::memory_order_relaxed);
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
   {
@@ -335,7 +335,13 @@ void EventLoop::teardown(Peer& peer) {
   peer.out_cv.notify_all();
   if (id != kNilNode) {
     std::lock_guard<std::mutex> guard(peers_mutex_);
-    peers_by_id_.erase(id);
+    // Only the connection registered under `id` speaks for that node.
+    const auto it = peers_by_id_.find(id);
+    if (it != peers_by_id_.end() && it->second.get() == &peer) {
+      peers_by_id_.erase(it);
+    } else {
+      crashed = false;
+    }
   }
   peers_by_fd_.erase(fd);  // frees `peer` unless a sender holds a ref
   if (crashed) {
@@ -366,6 +372,82 @@ void EventLoop::handle_accept() {
   }
 }
 
+bool EventLoop::on_control_frame(Peer& peer, std::uint32_t length,
+                                 const FrameHeader& header) {
+  const std::string who = "peer " + std::to_string(peer.id);
+  // Codec::encode_control_frame writes exactly this shape; anything else
+  // is a desynchronized or forged stream.
+  if (length != 5 * 4 || header.epoch != 0 || header.resource != 0 ||
+      header.to != kNilNode) {
+    record_error(who + " sent a non-canonical control frame");
+    return false;
+  }
+  if (header.wire_id == kGoodbyeWireId) {
+    if (peer.id == kNilNode || header.from != peer.id) {
+      record_error(who + " sent a GOODBYE as node " +
+                   std::to_string(header.from));
+      return false;
+    }
+    peer.said_goodbye = true;
+    telemetry::FlightRecorder::record(telemetry::FlightEvent::kGoodbye,
+                                      /*resource=*/0, peer.id);
+    return true;
+  }
+  if (header.wire_id != kHelloWireId) {
+    record_error("unknown control wire id " + std::to_string(header.wire_id));
+    return false;
+  }
+  const NodeId from = header.from;
+  if (from < 1 || from == config_.self ||
+      (config_.mesh_size > 0 && from > config_.mesh_size)) {
+    record_error(who + " sent a HELLO naming node " + std::to_string(from));
+    return false;
+  }
+  if (peer.id != kNilNode && peer.id != from) {
+    record_error(who + " re-identified as " + std::to_string(from));
+    return false;
+  }
+  std::shared_ptr<Peer> self_ref = peers_by_fd_.at(peer.fd);
+  bool impostor = false;
+  bool held = false;
+  {
+    std::lock_guard<std::mutex> guard(peers_mutex_);
+    const auto [entry, added] = peers_by_id_.emplace(from, self_ref);
+    // An impostor for a connected node is refused before it takes the
+    // id, so its teardown cannot touch the real peer's entry.
+    impostor = !added && entry->second != self_ref;
+    if (!impostor) {
+      peer.id = from;
+      if (from <= config_.mesh_size) {
+        ever_identified_[static_cast<std::size_t>(from)] = 1;
+      }
+      const auto it = held_for_hello_.find(from);
+      if (it != held_for_hello_.end()) {
+        std::lock_guard<std::mutex> out_guard(peer.out_mutex);
+        peer.outbox.append(it->second);
+        held_for_hello_.erase(it);
+        held = true;
+      }
+    }
+  }
+  if (impostor) {
+    record_error(who + " sent a HELLO as node " + std::to_string(from) +
+                 ", which is already connected");
+    return false;
+  }
+  if (held) {
+    {
+      std::lock_guard<std::mutex> guard(dirty_mutex_);
+      dirty_.push_back(std::move(self_ref));
+    }
+    wake();
+  }
+  peers_cv_.notify_all();
+  telemetry::FlightRecorder::record(telemetry::FlightEvent::kPeerUp,
+                                    /*resource=*/0, peer.id);
+  return true;
+}
+
 bool EventLoop::drain_frames(Peer& peer) {
   std::size_t consumed = 0;
   const std::string& buf = peer.inbuf;
@@ -386,48 +468,7 @@ bool EventLoop::drain_frames(Peer& peer) {
     try {
       const FrameHeader header = Codec::decode_header(r);
       if (header.wire_id >= kControlWireIdBase) {
-        if (header.wire_id == kHelloWireId) {
-          if (peer.id != kNilNode && peer.id != header.from) {
-            record_error("peer " + std::to_string(peer.id) +
-                         " re-identified as " + std::to_string(header.from));
-            return false;
-          }
-          peer.id = header.from;
-          std::shared_ptr<Peer> self_ref = peers_by_fd_.at(peer.fd);
-          bool held = false;
-          {
-            std::lock_guard<std::mutex> guard(peers_mutex_);
-            peers_by_id_.emplace(peer.id, self_ref);
-            if (peer.id >= 1 && peer.id <= config_.mesh_size) {
-              ever_identified_[static_cast<std::size_t>(peer.id)] = 1;
-            }
-            const auto it = held_for_hello_.find(peer.id);
-            if (it != held_for_hello_.end()) {
-              std::lock_guard<std::mutex> out_guard(peer.out_mutex);
-              peer.outbox.append(it->second);
-              held_for_hello_.erase(it);
-              held = true;
-            }
-          }
-          if (held) {
-            {
-              std::lock_guard<std::mutex> guard(dirty_mutex_);
-              dirty_.push_back(std::move(self_ref));
-            }
-            wake();
-          }
-          peers_cv_.notify_all();
-          telemetry::FlightRecorder::record(telemetry::FlightEvent::kPeerUp,
-                                            /*resource=*/0, peer.id);
-        } else if (header.wire_id == kGoodbyeWireId) {
-          peer.said_goodbye = true;
-          telemetry::FlightRecorder::record(telemetry::FlightEvent::kGoodbye,
-                                            /*resource=*/0, peer.id);
-        } else {
-          record_error("unknown control wire id " +
-                       std::to_string(header.wire_id));
-          return false;
-        }
+        if (!on_control_frame(peer, length, header)) return false;
         continue;
       }
       if (peer.id == kNilNode || header.from != peer.id ||

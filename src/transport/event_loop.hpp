@@ -158,6 +158,11 @@ class EventLoop final : public service::Transport {
   /// Parses complete frames out of `peer`'s read buffer; returns false if
   /// the stream is corrupt (caller tears the peer down).
   bool drain_frames(Peer& peer);
+  /// Acts on one HELLO or GOODBYE of `length` body bytes; returns false
+  /// (after recording an error) if it is not canonical or names an id
+  /// the peer may not take.
+  bool on_control_frame(Peer& peer, std::uint32_t length,
+                        const FrameHeader& header);
   /// Flushes as much outbox as the socket accepts; arms EPOLLOUT on a
   /// partial write. Loop thread only.
   void flush(Peer& peer);

@@ -5,21 +5,24 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "harness/delay_analysis.hpp"
 
 namespace dmx::workload {
 namespace {
 
+using harness::CsEvent;
+
 /// Shared driver state across all participant loops.
 struct Driver {
-  harness::Cluster& cluster;
+  service::LockSpace& space;
+  ResourceId resource;
   WorkloadConfig config;
   Rng rng;
   std::uint64_t completed = 0;
   bool stopped = false;
+  std::vector<CsEvent> events;
 
-  Driver(harness::Cluster& c, const WorkloadConfig& cfg)
-      : cluster(c), config(cfg), rng(cfg.seed) {}
+  Driver(service::LockSpace& s, ResourceId r, const WorkloadConfig& cfg)
+      : space(s), resource(r), config(cfg), rng(cfg.seed) {}
 
   Tick sample_hold() {
     if (config.hold_hi <= config.hold_lo) return config.hold_lo;
@@ -32,18 +35,25 @@ struct Driver {
     return std::max<Tick>(t, 1);
   }
 
+  void log(NodeId v, CsEvent::Kind kind) {
+    events.push_back({space.simulator().now(), v, kind});
+  }
+
   void issue(NodeId v) {
     if (stopped) return;
-    cluster.request_cs(v, [this](NodeId entered) {
-      cluster.simulator().schedule_after(sample_hold(), [this, entered] {
-        cluster.release_cs(entered);
+    log(v, CsEvent::Kind::kRequest);
+    space.acquire(resource, v, [this](ResourceId, NodeId entered) {
+      log(entered, CsEvent::Kind::kEnter);
+      space.simulator().schedule_after(sample_hold(), [this, entered] {
+        log(entered, CsEvent::Kind::kExit);
+        space.release(resource, entered);
         ++completed;
         if (completed >= config.target_entries) {
           stopped = true;
           return;
         }
-        cluster.simulator().schedule_after(sample_think(),
-                                           [this, entered] { issue(entered); });
+        space.simulator().schedule_after(sample_think(),
+                                         [this, entered] { issue(entered); });
       });
     });
   }
@@ -51,21 +61,20 @@ struct Driver {
 
 }  // namespace
 
-WorkloadResult run_workload(harness::Cluster& cluster,
+WorkloadResult run_workload(service::LockSpace& space, ResourceId r,
                             const WorkloadConfig& config) {
   DMX_CHECK(config.target_entries >= 1);
-  cluster.run_to_quiescence();
-  cluster.network().reset_stats();
+  space.run_to_quiescence();
+  space.network().reset_stats();
 
   std::vector<NodeId> participants = config.participants;
   if (participants.empty()) {
-    for (NodeId v = 1; v <= cluster.size(); ++v) participants.push_back(v);
+    for (NodeId v = 1; v <= space.nodes(); ++v) participants.push_back(v);
   }
 
-  auto driver = std::make_unique<Driver>(cluster, config);
-  const Tick started_at = cluster.simulator().now();
-  const std::uint64_t entries_before = cluster.total_entries();
-  const std::size_t events_before = cluster.events().size();
+  auto driver = std::make_unique<Driver>(space, r, config);
+  const Tick started_at = space.simulator().now();
+  const std::uint64_t entries_before = space.entries(r);
 
   // Stagger initial arrivals by the think-time distribution so the run
   // does not start with an artificial thundering herd (except under
@@ -73,29 +82,25 @@ WorkloadResult run_workload(harness::Cluster& cluster,
   for (NodeId v : participants) {
     const Tick offset =
         config.mean_think_ticks > 0.0 ? driver->sample_think() : 0;
-    cluster.simulator().schedule_after(offset,
-                                       [d = driver.get(), v] { d->issue(v); });
+    space.simulator().schedule_after(offset,
+                                     [d = driver.get(), v] { d->issue(v); });
   }
-  cluster.run_to_quiescence();
+  space.run_to_quiescence();
   DMX_CHECK_MSG(driver->completed >= config.target_entries,
                 "workload stalled at " << driver->completed << " of "
                                        << config.target_entries
                                        << " entries (liveness bug?)");
 
   WorkloadResult result;
-  result.entries = cluster.total_entries() - entries_before;
-  result.messages = cluster.network().stats().total_sent;
+  result.entries = space.entries(r) - entries_before;
+  result.messages = space.network().stats().total_sent;
   result.messages_per_entry =
       static_cast<double>(result.messages) /
       static_cast<double>(std::max<std::uint64_t>(result.entries, 1));
-  result.makespan = cluster.simulator().now() - started_at;
-
-  const std::vector<harness::CsEvent> run_events(
-      cluster.events().begin() +
-          static_cast<std::ptrdiff_t>(events_before),
-      cluster.events().end());
-  result.waiting_ticks = harness::waiting_times(run_events);
-  result.sync_delay_ticks = harness::synchronization_delays(run_events);
+  result.makespan = space.simulator().now() - started_at;
+  result.waiting_ticks = harness::waiting_times(driver->events);
+  result.sync_delay_ticks = harness::synchronization_delays(driver->events);
+  result.events = std::move(driver->events);
   return result;
 }
 

@@ -10,8 +10,9 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "harness/cluster.hpp"
+#include "harness/delay_analysis.hpp"
 #include "metrics/summary.hpp"
+#include "service/lock_space.hpp"
 
 namespace dmx::workload {
 
@@ -36,11 +37,14 @@ struct WorkloadResult {
   metrics::Summary waiting_ticks;
   metrics::Summary sync_delay_ticks;
   Tick makespan = 0;
+  /// The run's request/enter/exit log, in virtual-time order.
+  std::vector<harness::CsEvent> events;
 };
 
-/// Drives `cluster` until `target_entries` complete, then drains. Resets
-/// network counters at the start so the result covers only this workload.
-WorkloadResult run_workload(harness::Cluster& cluster,
+/// Drives resource `r` of `space` until `target_entries` complete, then
+/// drains. Resets network counters at the start so the result covers only
+/// this workload.
+WorkloadResult run_workload(service::LockSpace& space, ResourceId r,
                             const WorkloadConfig& config);
 
 }  // namespace dmx::workload

@@ -5,8 +5,8 @@
 
 #include "analysis/formulas.hpp"
 #include "baselines/registry.hpp"
-#include "harness/cluster.hpp"
 #include "harness/probe.hpp"
+#include "support/single_cs.hpp"
 #include "topology/tree.hpp"
 
 namespace dmx::analysis {
@@ -74,19 +74,16 @@ TEST_P(TreeAverageProperty, MeasuredEqualsAnalyticOnRandomTrees) {
   const topology::Tree tree = topology::Tree::random_tree(n, seed);
 
   for (const char* name : {"Neilsen", "Raymond"}) {
-    harness::ClusterConfig config;
-    config.n = n;
-    config.initial_token_holder = 1;
-    config.tree = tree;
-    harness::Cluster cluster(baselines::algorithm_by_name(name),
-                             std::move(config));
+    const auto space = testsupport::single_cs(
+        baselines::algorithm_by_name(name), testsupport::cs_config(n, tree));
+    const ResourceId cs = testsupport::kCs;
     std::uint64_t total = 0;
     for (NodeId holder = 1; holder <= n; ++holder) {
-      harness::park_token_at(cluster, holder);
+      harness::park_token_at(*space, cs, holder);
       for (NodeId requester = 1; requester <= n; ++requester) {
-        total +=
-            harness::single_entry_probe(cluster, requester).messages_total;
-        harness::park_token_at(cluster, holder);
+        total += harness::single_entry_probe(*space, cs, requester)
+                     .messages_total;
+        harness::park_token_at(*space, cs, holder);
       }
     }
     const double measured =

@@ -9,30 +9,29 @@
 #include <string>
 #include <tuple>
 
+#include "../support/single_cs.hpp"
 #include "baselines/registry.hpp"
-#include "harness/cluster.hpp"
 #include "topology/tree.hpp"
 #include "workload/workload.hpp"
 
 namespace dmx::baselines {
 namespace {
 
-using harness::Cluster;
-using harness::ClusterConfig;
+using testsupport::kCs;
 
-ClusterConfig make_config(const proto::Algorithm& algo, int n,
-                          std::uint64_t seed, bool jittery_latency) {
-  ClusterConfig config;
-  config.n = n;
-  config.initial_token_holder = algo.name == "Singhal"
-                                    ? 1  // fixed by its staircase init
-                                    : static_cast<NodeId>(seed % n + 1);
-  config.tree = topology::Tree::random_tree(n, seed);
+/// The token starts at node seed % n + 1 (Singhal's staircase init still
+/// pins it to node 1).
+std::unique_ptr<service::LockSpace> make_space(const proto::Algorithm& algo,
+                                               int n, std::uint64_t seed,
+                                               bool jittery_latency) {
+  service::LockSpaceConfig config =
+      testsupport::cs_config(n, topology::Tree::random_tree(n, seed));
   if (jittery_latency) {
     config.latency_model = std::make_unique<net::ExponentialLatency>(3.0);
   }
   config.seed = seed;
-  return config;
+  return testsupport::single_cs(algo, std::move(config),
+                                static_cast<NodeId>(seed % n + 1));
 }
 
 using Params = std::tuple<std::string, int, std::uint64_t>;
@@ -42,7 +41,7 @@ class AlgorithmConformance : public ::testing::TestWithParam<Params> {};
 TEST_P(AlgorithmConformance, SafeAndLiveUnderContention) {
   const auto& [name, n, seed] = GetParam();
   const proto::Algorithm algo = algorithm_by_name(name);
-  Cluster cluster(algo, make_config(algo, n, seed, /*jittery=*/false));
+  const auto space = make_space(algo, n, seed, /*jittery=*/false);
 
   workload::WorkloadConfig wl;
   wl.target_entries = 150;
@@ -50,36 +49,39 @@ TEST_P(AlgorithmConformance, SafeAndLiveUnderContention) {
   wl.hold_lo = 0;
   wl.hold_hi = 4;
   wl.seed = seed * 31 + 7;
-  const workload::WorkloadResult result = workload::run_workload(cluster, wl);
+  const workload::WorkloadResult result =
+      workload::run_workload(*space, kCs, wl);
   EXPECT_GE(result.entries, wl.target_entries);
 }
 
 TEST_P(AlgorithmConformance, SafeAndLiveUnderJitteryNetwork) {
   const auto& [name, n, seed] = GetParam();
   const proto::Algorithm algo = algorithm_by_name(name);
-  Cluster cluster(algo, make_config(algo, n, seed, /*jittery=*/true));
+  const auto space = make_space(algo, n, seed, /*jittery=*/true);
 
   workload::WorkloadConfig wl;
   wl.target_entries = 120;
   wl.mean_think_ticks = 0.0;  // saturation
   wl.seed = seed * 13 + 3;
-  const workload::WorkloadResult result = workload::run_workload(cluster, wl);
+  const workload::WorkloadResult result =
+      workload::run_workload(*space, kCs, wl);
   EXPECT_GE(result.entries, wl.target_entries);
 }
 
 TEST_P(AlgorithmConformance, NoStarvationUnderSaturation) {
   const auto& [name, n, seed] = GetParam();
   const proto::Algorithm algo = algorithm_by_name(name);
-  Cluster cluster(algo, make_config(algo, n, seed, /*jittery=*/false));
+  const auto space = make_space(algo, n, seed, /*jittery=*/false);
 
   workload::WorkloadConfig wl;
   wl.target_entries = static_cast<std::uint64_t>(12 * n);
   wl.mean_think_ticks = 0.0;
   wl.seed = seed;
-  workload::run_workload(cluster, wl);
+  const workload::WorkloadResult result =
+      workload::run_workload(*space, kCs, wl);
 
   std::map<NodeId, int> entries;
-  for (const auto& event : cluster.events()) {
+  for (const auto& event : result.events) {
     if (event.kind == harness::CsEvent::Kind::kEnter) {
       entries[event.node] += 1;
     }
@@ -126,19 +128,17 @@ TEST(AlgorithmRegistry, LookupByNameWorksAndRejectsUnknown) {
 TEST(AlgorithmRegistry, SingleNodeClustersWorkEverywhere) {
   // Degenerate n=1: every algorithm must grant locally with no messages.
   for (const auto& algo : all_algorithms()) {
-    ClusterConfig config;
-    config.n = 1;
-    config.initial_token_holder = 1;
-    config.tree = topology::Tree::from_edges(1, {});
-    Cluster cluster(algo, std::move(config));
+    const auto owned = testsupport::single_cs(
+        algo, testsupport::cs_config(1, topology::Tree::from_edges(1, {})));
+    service::LockSpace& space = *owned;
     for (int i = 0; i < 3; ++i) {
       bool entered = false;
-      cluster.request_cs(1, [&](NodeId) { entered = true; });
-      cluster.run_to_quiescence();
+      space.acquire(kCs, 1, [&](ResourceId, NodeId) { entered = true; });
+      space.run_to_quiescence();
       EXPECT_TRUE(entered) << algo.name;
-      cluster.release_cs(1);
+      space.release(kCs, 1);
     }
-    EXPECT_EQ(cluster.network().stats().total_sent, 0u) << algo.name;
+    EXPECT_EQ(space.network().stats().total_sent, 0u) << algo.name;
   }
 }
 
@@ -154,18 +154,20 @@ TEST(AlgorithmRegistry, SingleNodeClustersWorkEverywhere) {
 namespace dmx::baselines {
 namespace {
 
+using testsupport::kCs;
+
 class ExtremeReorder : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ExtremeReorder, SafeAndLiveUnderScrambledDelivery) {
   const proto::Algorithm algo = algorithm_by_name(GetParam());
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    harness::ClusterConfig config;
-    config.n = 7;
-    config.initial_token_holder = algo.name == "Singhal" ? 1 : 4;
-    config.tree = topology::Tree::random_tree(7, seed);
+    service::LockSpaceConfig config =
+        testsupport::cs_config(7, topology::Tree::random_tree(7, seed));
     config.latency_model = std::make_unique<net::UniformLatency>(1, 50);
     config.seed = seed;
-    harness::Cluster cluster(algo, std::move(config));
+    const auto owned =
+        testsupport::single_cs(algo, std::move(config), /*home=*/4);
+    service::LockSpace& space = *owned;
 
     workload::WorkloadConfig wl;
     wl.target_entries = 120;
@@ -174,7 +176,7 @@ TEST_P(ExtremeReorder, SafeAndLiveUnderScrambledDelivery) {
     wl.hold_hi = 5;
     wl.seed = seed * 53 + 1;
     const workload::WorkloadResult result =
-        workload::run_workload(cluster, wl);
+        workload::run_workload(space, kCs, wl);
     ASSERT_GE(result.entries, wl.target_entries)
         << algo.name << " seed " << seed;
   }

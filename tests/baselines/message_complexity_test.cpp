@@ -3,87 +3,90 @@
 // on quiescent systems.
 #include <gtest/gtest.h>
 
+#include "../support/single_cs.hpp"
 #include "baselines/registry.hpp"
-#include "harness/cluster.hpp"
 #include "harness/probe.hpp"
 #include "topology/tree.hpp"
 
 namespace dmx::baselines {
 namespace {
 
-using harness::Cluster;
-using harness::ClusterConfig;
 using harness::ProbeResult;
 using harness::park_token_at;
 using harness::single_entry_probe;
+using testsupport::kCs;
 
-ClusterConfig base_config(int n, NodeId holder) {
-  ClusterConfig config;
-  config.n = n;
-  config.initial_token_holder = holder;
-  config.tree = topology::Tree::star(n, 1);
-  return config;
+/// `name` on the star centred on node 1, its token starting at `holder`.
+std::unique_ptr<service::LockSpace> star_space(const char* name, int n,
+                                               NodeId holder) {
+  return testsupport::single_cs(
+      algorithm_by_name(name),
+      testsupport::cs_config(n, topology::Tree::star(n, 1)), holder);
 }
 
 TEST(LamportComplexity, ThreeTimesNMinusOneWorstCase) {
   const int n = 7;
-  Cluster cluster(algorithm_by_name("Lamport"), base_config(n, 1));
+  const auto owned = star_space("Lamport", n, 1);
+  service::LockSpace& space = *owned;
   // Probe from a node with no outstanding peers: N-1 REQUEST + N-1 ACK +
   // N-1 RELEASE.
-  const ProbeResult probe = single_entry_probe(cluster, 3);
+  const ProbeResult probe = single_entry_probe(space, kCs, 3);
   EXPECT_EQ(probe.messages_total, static_cast<std::uint64_t>(3 * (n - 1)));
-  EXPECT_EQ(cluster.network().stats().sent("REQUEST"),
+  EXPECT_EQ(space.network().stats().sent("REQUEST"),
             static_cast<std::uint64_t>(n - 1));
-  EXPECT_EQ(cluster.network().stats().sent("ACKNOWLEDGE"),
+  EXPECT_EQ(space.network().stats().sent("ACKNOWLEDGE"),
             static_cast<std::uint64_t>(n - 1));
-  EXPECT_EQ(cluster.network().stats().sent("RELEASE"),
+  EXPECT_EQ(space.network().stats().sent("RELEASE"),
             static_cast<std::uint64_t>(n - 1));
 }
 
 TEST(RicartAgrawalaComplexity, TwoTimesNMinusOneAlways) {
   const int n = 9;
-  Cluster cluster(algorithm_by_name("Ricart-Agrawala"), base_config(n, 1));
+  const auto owned = star_space("Ricart-Agrawala", n, 1);
+  service::LockSpace& space = *owned;
   for (NodeId requester : {2, 5, 9, 2}) {
-    const ProbeResult probe = single_entry_probe(cluster, requester);
+    const ProbeResult probe = single_entry_probe(space, kCs, requester);
     EXPECT_EQ(probe.messages_total, static_cast<std::uint64_t>(2 * (n - 1)));
   }
 }
 
 TEST(CarvalhoRoucairolComplexity, ZeroOnRepeatEntry) {
   const int n = 8;
-  Cluster cluster(algorithm_by_name("Carvalho-Roucairol"),
-                  base_config(n, 1));
+  const auto owned = star_space("Carvalho-Roucairol", n, 1);
+  service::LockSpace& space = *owned;
   // First entry pays the full 2(N-1); repeats are free while nobody else
   // requests (the §2.3 lower bound of 0).
-  const ProbeResult first = single_entry_probe(cluster, 4);
+  const ProbeResult first = single_entry_probe(space, kCs, 4);
   EXPECT_EQ(first.messages_total, static_cast<std::uint64_t>(2 * (n - 1)));
   for (int repeat = 0; repeat < 3; ++repeat) {
-    const ProbeResult again = single_entry_probe(cluster, 4);
+    const ProbeResult again = single_entry_probe(space, kCs, 4);
     EXPECT_EQ(again.messages_total, 0u);
   }
   // Another node then requests: it must reclaim permissions, but never
   // more than 2(N-1) messages.
-  const ProbeResult other = single_entry_probe(cluster, 5);
+  const ProbeResult other = single_entry_probe(space, kCs, 5);
   EXPECT_GT(other.messages_total, 0u);
   EXPECT_LE(other.messages_total, static_cast<std::uint64_t>(2 * (n - 1)));
 }
 
 TEST(SuzukiKasamiComplexity, NMessagesOrZero) {
   const int n = 6;
-  Cluster cluster(algorithm_by_name("Suzuki-Kasami"), base_config(n, 2));
+  const auto owned = star_space("Suzuki-Kasami", n, 2);
+  service::LockSpace& space = *owned;
   // Requester does not hold the token: N-1 REQUEST broadcasts + 1 TOKEN.
-  const ProbeResult probe = single_entry_probe(cluster, 5);
+  const ProbeResult probe = single_entry_probe(space, kCs, 5);
   EXPECT_EQ(probe.messages_total, static_cast<std::uint64_t>(n));
   // Requester holds the token: free.
-  const ProbeResult holder_probe = single_entry_probe(cluster, 5);
+  const ProbeResult holder_probe = single_entry_probe(space, kCs, 5);
   EXPECT_EQ(holder_probe.messages_total, 0u);
 }
 
 TEST(SinghalComplexity, AtMostNMessages) {
   const int n = 8;
-  Cluster cluster(algorithm_by_name("Singhal"), base_config(n, 1));
+  const auto owned = star_space("Singhal", n, 1);
+  service::LockSpace& space = *owned;
   for (NodeId requester : {3, 7, 2, 8, 3}) {
-    const ProbeResult probe = single_entry_probe(cluster, requester);
+    const ProbeResult probe = single_entry_probe(space, kCs, requester);
     // Heuristic: REQUESTs go only to nodes believed requesting, plus one
     // TOKEN transfer — at most N of those. On top, a node that can
     // neither serve nor carry a request forwards it along the token
@@ -96,8 +99,9 @@ TEST(SinghalComplexity, AtMostNMessages) {
 
 TEST(MaekawaComplexity, ProportionalToSqrtN) {
   const int n = 13;  // projective plane: committees of size 4
-  Cluster cluster(algorithm_by_name("Maekawa"), base_config(n, 1));
-  const ProbeResult probe = single_entry_probe(cluster, 5);
+  const auto owned = star_space("Maekawa", n, 1);
+  service::LockSpace& space = *owned;
+  const ProbeResult probe = single_entry_probe(space, kCs, 5);
   // Uncontended: (K-1) REQUEST + (K-1) LOCKED + (K-1) RELEASE with K=4;
   // the committee contains self, whose exchange is local.
   EXPECT_EQ(probe.messages_total, 9u);
@@ -105,11 +109,12 @@ TEST(MaekawaComplexity, ProportionalToSqrtN) {
 
 TEST(CentralComplexity, ThreeMessagesForClientsZeroForCoordinator) {
   const int n = 10;
-  Cluster cluster(algorithm_by_name("Central"), base_config(n, 1));
-  const ProbeResult client = single_entry_probe(cluster, 7);
+  const auto owned = star_space("Central", n, 1);
+  service::LockSpace& space = *owned;
+  const ProbeResult client = single_entry_probe(space, kCs, 7);
   EXPECT_EQ(client.messages_total, 3u);  // REQUEST + GRANT + RELEASE
   EXPECT_EQ(client.messages_to_enter, 2u);
-  const ProbeResult coordinator = single_entry_probe(cluster, 1);
+  const ProbeResult coordinator = single_entry_probe(space, kCs, 1);
   EXPECT_EQ(coordinator.messages_total, 0u);
 }
 
@@ -118,19 +123,18 @@ TEST(RaymondComplexity, AtMostTwoDiameter) {
   for (auto [make_tree, expected_diameter] :
        {std::pair{+[](int k) { return topology::Tree::line(k); }, 8},
         std::pair{+[](int k) { return topology::Tree::star(k, 1); }, 2}}) {
-    ClusterConfig config;
-    config.n = n;
-    config.initial_token_holder = 1;
-    config.tree = make_tree(n);
-    Cluster cluster(algorithm_by_name("Raymond"), std::move(config));
+    const auto owned =
+        testsupport::single_cs(algorithm_by_name("Raymond"),
+                               testsupport::cs_config(n, make_tree(n)));
+    service::LockSpace& space = *owned;
     for (NodeId holder : {1, 5, 9}) {
-      park_token_at(cluster, holder);
+      park_token_at(space, kCs, holder);
       for (NodeId requester : {2, 9, 1}) {
         if (requester == holder) continue;
-        const ProbeResult probe = single_entry_probe(cluster, requester);
+        const ProbeResult probe = single_entry_probe(space, kCs, requester);
         EXPECT_LE(probe.messages_total,
                   static_cast<std::uint64_t>(2 * expected_diameter));
-        park_token_at(cluster, holder);
+        park_token_at(space, kCs, holder);
       }
     }
   }
@@ -141,29 +145,26 @@ TEST(RaymondVsNeilsen, NeilsenStrictlyCheaperOnStarWorstCase) {
   // Raymond: REQUEST leaf->hub->leaf then PRIVILEGE leaf->hub->leaf = 4.
   // Neilsen: 2 REQUEST hops + 1 direct PRIVILEGE = 3.
   const int n = 8;
-  ClusterConfig raymond_config = base_config(n, 2);
-  Cluster raymond(algorithm_by_name("Raymond"), std::move(raymond_config));
-  park_token_at(raymond, 2);
-  const ProbeResult raymond_probe = single_entry_probe(raymond, 3);
+  const auto raymond = star_space("Raymond", n, 2);
+  park_token_at(*raymond, kCs, 2);
+  const ProbeResult raymond_probe = single_entry_probe(*raymond, kCs, 3);
   EXPECT_EQ(raymond_probe.messages_total, 4u);
 
-  ClusterConfig neilsen_config = base_config(n, 2);
-  Cluster neilsen(algorithm_by_name("Neilsen"), std::move(neilsen_config));
-  park_token_at(neilsen, 2);
-  const ProbeResult neilsen_probe = single_entry_probe(neilsen, 3);
+  const auto neilsen = star_space("Neilsen", n, 2);
+  park_token_at(*neilsen, kCs, 2);
+  const ProbeResult neilsen_probe = single_entry_probe(*neilsen, kCs, 3);
   EXPECT_EQ(neilsen_probe.messages_total, 3u);
 }
 
 TEST(NeilsenComplexity, LineWorstCaseIsN) {
   // §6.1: on the straight line the upper bound is N = D+1.
   const int n = 9;
-  ClusterConfig config;
-  config.n = n;
-  config.initial_token_holder = 1;
-  config.tree = topology::Tree::line(n);
-  Cluster cluster(algorithm_by_name("Neilsen"), std::move(config));
-  park_token_at(cluster, 1);
-  const ProbeResult probe = single_entry_probe(cluster, n);
+  const auto owned = testsupport::single_cs(
+      algorithm_by_name("Neilsen"),
+      testsupport::cs_config(n, topology::Tree::line(n)));
+  service::LockSpace& space = *owned;
+  park_token_at(space, kCs, 1);
+  const ProbeResult probe = single_entry_probe(space, kCs, n);
   EXPECT_EQ(probe.messages_total, static_cast<std::uint64_t>(n));
 }
 

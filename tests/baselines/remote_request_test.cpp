@@ -9,25 +9,23 @@
 
 #include <string>
 
+#include "../support/single_cs.hpp"
 #include "baselines/registry.hpp"
-#include "harness/cluster.hpp"
 #include "topology/tree.hpp"
 
 namespace dmx::baselines {
 namespace {
 
-using harness::Cluster;
-using harness::ClusterConfig;
+using testsupport::kCs;
 
-ClusterConfig make_config(int n) {
-  ClusterConfig config;
-  config.n = n;
-  // Holder fixed at node 1 (Singhal's staircase init requires it anyway),
-  // so the flip assertions below always target the same node.
-  config.initial_token_holder = 1;
-  config.tree = topology::Tree::star(n, 1);
+/// The token starts at node 1 (Singhal's staircase init requires it
+/// anyway), so the flip assertions below always target the same node.
+std::unique_ptr<service::LockSpace> make_space(const proto::Algorithm& algo,
+                                               int n) {
+  service::LockSpaceConfig config =
+      testsupport::cs_config(n, topology::Tree::star(n, 1));
   config.seed = 7;
-  return config;
+  return testsupport::single_cs(algo, std::move(config), /*home=*/1);
 }
 
 class RemoteRequestPredicate : public ::testing::TestWithParam<std::string> {};
@@ -35,11 +33,12 @@ class RemoteRequestPredicate : public ::testing::TestWithParam<std::string> {};
 TEST_P(RemoteRequestPredicate, FlipsWithARemoteRequestAndDrainsClean) {
   const proto::Algorithm algo = algorithm_by_name(GetParam());
   constexpr int n = 3;
-  Cluster cluster(algo, make_config(n));
+  const auto owned = make_space(algo, n);
+  service::LockSpace& space = *owned;
 
   // Quiescent start: no request anywhere, so no node may report one.
   for (NodeId v = 1; v <= n; ++v) {
-    EXPECT_FALSE(cluster.node(v).has_remote_request())
+    EXPECT_FALSE(space.node(kCs, v).has_remote_request())
         << algo.name << ": node " << v << " reports a phantom request";
   }
 
@@ -47,10 +46,10 @@ TEST_P(RemoteRequestPredicate, FlipsWithARemoteRequestAndDrainsClean) {
   // must still report false — that is exactly the state in which a lease
   // renewal is sound.
   bool entered = false;
-  cluster.request_cs(1, [&](NodeId) { entered = true; });
-  cluster.run_to_quiescence();
+  space.acquire(kCs, 1, [&](ResourceId, NodeId) { entered = true; });
+  space.run_to_quiescence();
   ASSERT_TRUE(entered) << algo.name;
-  EXPECT_FALSE(cluster.node(1).has_remote_request())
+  EXPECT_FALSE(space.node(kCs, 1).has_remote_request())
       << algo.name << ": holder reports its own request as remote";
 
   // Node 3 requests while node 1 holds. (Node 3, not 2: with the n=3
@@ -61,29 +60,31 @@ TEST_P(RemoteRequestPredicate, FlipsWithARemoteRequestAndDrainsClean) {
   // requester must now see it, and any algorithm whose holder can see
   // (holder_sees_remote_requests) must see it AT THE HOLDER — the
   // property the lease renewal relies on.
-  cluster.request_cs(3, [](NodeId) {});
-  cluster.run_to_quiescence();
-  ASSERT_TRUE(cluster.is_in_cs(1)) << algo.name;
+  space.acquire(kCs, 3, [](ResourceId, NodeId) {});
+  space.run_to_quiescence();
+  ASSERT_TRUE(space.is_in_cs(kCs, 1)) << algo.name;
   bool seen_somewhere = false;
   for (NodeId v = 1; v <= n; ++v) {
-    if (v != 3 && cluster.node(v).has_remote_request()) seen_somewhere = true;
+    if (v != 3 && space.node(kCs, v).has_remote_request()) {
+      seen_somewhere = true;
+    }
   }
   EXPECT_TRUE(seen_somewhere)
       << algo.name << ": node 3's parked request is invisible everywhere";
   if (algo.holder_sees_remote_requests) {
-    EXPECT_TRUE(cluster.node(1).has_remote_request())
+    EXPECT_TRUE(space.node(kCs, 1).has_remote_request())
         << algo.name << ": holder is blind to node 3's queued request";
   }
 
   // Serve node 3 and drain both critical sections: every predicate must
   // drop back to false (nothing pending anywhere).
-  cluster.release_cs(1);
-  cluster.run_to_quiescence();
-  ASSERT_TRUE(cluster.is_in_cs(3)) << algo.name;
-  cluster.release_cs(3);
-  cluster.run_to_quiescence();
+  space.release(kCs, 1);
+  space.run_to_quiescence();
+  ASSERT_TRUE(space.is_in_cs(kCs, 3)) << algo.name;
+  space.release(kCs, 3);
+  space.run_to_quiescence();
   for (NodeId v = 1; v <= n; ++v) {
-    EXPECT_FALSE(cluster.node(v).has_remote_request())
+    EXPECT_FALSE(space.node(kCs, v).has_remote_request())
         << algo.name << ": node " << v << " still reports a served request";
   }
 }

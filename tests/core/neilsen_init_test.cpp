@@ -6,16 +6,20 @@
 
 #include <memory>
 
+#include "../support/single_cs.hpp"
 #include "core/messages.hpp"
 #include "core/neilsen_node.hpp"
-#include "harness/cluster.hpp"
+#include "harness/probe.hpp"
 #include "topology/tree.hpp"
 
 namespace dmx::core {
 namespace {
 
+using testsupport::kCs;
+using testsupport::node_as;
+
 /// Algorithm descriptor whose nodes start *uninitialized*, with neighbour
-/// lists, as Figure 5 assumes. token_based is false so the harness skips
+/// lists, as Figure 5 assumes. token_based is false so the space skips
 /// the token-uniqueness check until initialization completes.
 proto::Algorithm make_uninitialized_neilsen() {
   proto::Algorithm algo;
@@ -41,21 +45,19 @@ TEST_P(NeilsenInitTest, FloodMatchesPrecomputedOrientation) {
   const NodeId holder = static_cast<NodeId>(GetParam());
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const topology::Tree tree = topology::Tree::random_tree(n, seed);
-    harness::ClusterConfig config;
-    config.n = n;
-    config.initial_token_holder = holder;
-    config.tree = tree;
-    harness::Cluster cluster(make_uninitialized_neilsen(), std::move(config));
+    const auto space = testsupport::single_cs(
+        make_uninitialized_neilsen(), testsupport::cs_config(n, tree), holder);
 
     for (NodeId v = 1; v <= n; ++v) {
-      EXPECT_FALSE(cluster.node_as<NeilsenNode>(v).initialized());
+      EXPECT_FALSE(node_as<NeilsenNode>(*space, v).initialized());
     }
-    cluster.node_as<NeilsenNode>(holder).start_init(cluster.context(holder));
-    cluster.run_to_quiescence();
+    node_as<NeilsenNode>(*space, holder)
+        .start_init(space->context(kCs, holder));
+    space->run_to_quiescence();
 
     const auto expected = tree.next_pointers_toward(holder);
     for (NodeId v = 1; v <= n; ++v) {
-      const auto& node = cluster.node_as<NeilsenNode>(v);
+      const auto& node = node_as<NeilsenNode>(*space, v);
       EXPECT_TRUE(node.initialized());
       EXPECT_EQ(node.next(), expected[static_cast<std::size_t>(v)])
           << "node " << v << " holder " << holder << " seed " << seed;
@@ -63,7 +65,7 @@ TEST_P(NeilsenInitTest, FloodMatchesPrecomputedOrientation) {
       EXPECT_EQ(node.holding(), v == holder);
     }
     // The flood sends exactly one INITIALIZE per tree edge.
-    EXPECT_EQ(cluster.network().stats().sent("INITIALIZE"),
+    EXPECT_EQ(space->network().stats().sent("INITIALIZE"),
               static_cast<std::uint64_t>(n - 1));
   }
 }
@@ -72,40 +74,34 @@ INSTANTIATE_TEST_SUITE_P(Holders, NeilsenInitTest,
                          ::testing::Values(1, 4, 9));
 
 TEST(NeilsenInit, StartInitOnNonHolderRejected) {
-  harness::ClusterConfig config;
-  config.n = 3;
-  config.initial_token_holder = 1;
-  config.tree = topology::Tree::line(3);
-  harness::Cluster cluster(make_uninitialized_neilsen(), std::move(config));
+  const auto space = testsupport::single_cs(
+      make_uninitialized_neilsen(),
+      testsupport::cs_config(3, topology::Tree::line(3)));
   EXPECT_THROW(
-      cluster.node_as<NeilsenNode>(2).start_init(cluster.context(2)),
+      node_as<NeilsenNode>(*space, 2).start_init(space->context(kCs, 2)),
       std::logic_error);
 }
 
 TEST(NeilsenInit, RequestBeforeInitializationRejected) {
-  harness::ClusterConfig config;
-  config.n = 3;
-  config.initial_token_holder = 1;
-  config.tree = topology::Tree::line(3);
-  harness::Cluster cluster(make_uninitialized_neilsen(), std::move(config));
-  EXPECT_THROW(cluster.request_cs(2), std::logic_error);
+  const auto space = testsupport::single_cs(
+      make_uninitialized_neilsen(),
+      testsupport::cs_config(3, topology::Tree::line(3)));
+  EXPECT_THROW(space->acquire(kCs, 2), std::logic_error);
 }
 
 TEST(NeilsenInit, ProtocolUsableImmediatelyAfterInit) {
-  harness::ClusterConfig config;
-  config.n = 5;
-  config.initial_token_holder = 3;
-  config.tree = topology::Tree::star(5, 2);
-  harness::Cluster cluster(make_uninitialized_neilsen(), std::move(config));
-  cluster.node_as<NeilsenNode>(3).start_init(cluster.context(3));
-  cluster.run_to_quiescence();
+  const auto space = testsupport::single_cs(
+      make_uninitialized_neilsen(),
+      testsupport::cs_config(5, topology::Tree::star(5, 2)), /*home=*/3);
+  node_as<NeilsenNode>(*space, 3).start_init(space->context(kCs, 3));
+  space->run_to_quiescence();
 
   std::vector<NodeId> entered;
   for (NodeId v : {5, 1, 4}) {
-    cluster.hold_and_release(v, 2);
+    harness::hold_and_release(*space, kCs, v, 2);
   }
-  cluster.run_to_quiescence();
-  EXPECT_EQ(cluster.total_entries(), 3u);
+  space->run_to_quiescence();
+  EXPECT_EQ(space->total_entries(), 3u);
 }
 
 }  // namespace

@@ -9,11 +9,11 @@
 #include <string>
 #include <tuple>
 
+#include "../support/single_cs.hpp"
 #include "core/algorithm.hpp"
 #include "core/implicit_queue.hpp"
 #include "core/invariants.hpp"
 #include "core/neilsen_node.hpp"
-#include "harness/cluster.hpp"
 #include "harness/delay_analysis.hpp"
 #include "harness/probe.hpp"
 #include "topology/tree.hpp"
@@ -22,8 +22,9 @@
 namespace dmx::core {
 namespace {
 
-using harness::Cluster;
-using harness::ClusterConfig;
+using testsupport::in_flight;
+using testsupport::kCs;
+using testsupport::node_as;
 
 topology::Tree make_topology(const std::string& kind, int n,
                              std::uint64_t seed) {
@@ -36,20 +37,20 @@ topology::Tree make_topology(const std::string& kind, int n,
   return topology::Tree::random_tree(n, seed);
 }
 
-NodeView view(Cluster& cluster) {
+NodeView view(service::LockSpace& space) {
   NodeView nodes;
   nodes.push_back(nullptr);
-  for (NodeId v = 1; v <= cluster.size(); ++v) {
-    nodes.push_back(&cluster.node_as<NeilsenNode>(v));
+  for (NodeId v = 1; v <= space.nodes(); ++v) {
+    nodes.push_back(&node_as<NeilsenNode>(space, v));
   }
   return nodes;
 }
 
-void install_invariant_hook(Cluster& cluster) {
-  cluster.set_post_event_hook([](Cluster& c) {
+void install_invariant_hook(service::LockSpace& space) {
+  space.set_post_event_hook([](service::LockSpace& c, ResourceId) {
     const NodeView nodes = view(c);
     const InvariantReport report =
-        check_all(nodes, c.network().in_flight_count("REQUEST"));
+        check_all(nodes, in_flight(c, "REQUEST"));
     ASSERT_TRUE(report.ok) << report.violation;
   });
 }
@@ -60,14 +61,15 @@ class NeilsenStress : public ::testing::TestWithParam<Params> {};
 
 TEST_P(NeilsenStress, InvariantsHoldUnderRandomWorkload) {
   const auto& [kind, n, seed] = GetParam();
-  ClusterConfig config;
-  config.n = n;
-  config.initial_token_holder = static_cast<NodeId>(seed % n + 1);
-  config.tree = make_topology(kind, n, seed);
+  service::LockSpaceConfig config =
+      testsupport::cs_config(n, make_topology(kind, n, seed));
   config.latency_model = std::make_unique<net::UniformLatency>(1, 5);
   config.seed = seed;
-  Cluster cluster(make_neilsen_algorithm(), std::move(config));
-  install_invariant_hook(cluster);
+  const auto owned =
+      testsupport::single_cs(make_neilsen_algorithm(), std::move(config),
+                             static_cast<NodeId>(seed % n + 1));
+  service::LockSpace& space = *owned;
+  install_invariant_hook(space);
 
   workload::WorkloadConfig wl;
   wl.target_entries = 200;
@@ -75,32 +77,34 @@ TEST_P(NeilsenStress, InvariantsHoldUnderRandomWorkload) {
   wl.hold_lo = 0;
   wl.hold_hi = 7;
   wl.seed = seed * 977 + 1;
-  const workload::WorkloadResult result = workload::run_workload(cluster, wl);
+  const workload::WorkloadResult result =
+      workload::run_workload(space, kCs, wl);
 
   EXPECT_GE(result.entries, wl.target_entries);  // liveness: all complete
   // Afterwards the token is at rest at exactly one node.
-  const NodeView nodes = view(cluster);
+  const NodeView nodes = view(space);
   EXPECT_NE(find_token_holder(nodes), kNilNode);
   EXPECT_TRUE(deduce_waiting_queue(nodes, find_token_holder(nodes)).empty());
 }
 
 TEST_P(NeilsenStress, EveryNodeEntersUnderSaturation) {
   const auto& [kind, n, seed] = GetParam();
-  ClusterConfig config;
-  config.n = n;
-  config.initial_token_holder = 1;
-  config.tree = make_topology(kind, n, seed);
+  service::LockSpaceConfig config =
+      testsupport::cs_config(n, make_topology(kind, n, seed));
   config.seed = seed;
-  Cluster cluster(make_neilsen_algorithm(), std::move(config));
+  const auto owned =
+      testsupport::single_cs(make_neilsen_algorithm(), std::move(config), 1);
+  service::LockSpace& space = *owned;
 
   workload::WorkloadConfig wl;
   wl.target_entries = static_cast<std::uint64_t>(8 * n);
   wl.mean_think_ticks = 0.0;  // saturation
   wl.seed = seed;
-  workload::run_workload(cluster, wl);
+  const workload::WorkloadResult result =
+      workload::run_workload(space, kCs, wl);
 
   std::map<NodeId, int> entries;
-  for (const auto& event : cluster.events()) {
+  for (const auto& event : result.events) {
     if (event.kind == harness::CsEvent::Kind::kEnter) {
       entries[event.node] += 1;
     }
@@ -120,37 +124,39 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(NeilsenQueue, DeducedQueueMatchesGrantOrder) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     const int n = 8;
-    ClusterConfig config;
-    config.n = n;
-    config.initial_token_holder = 1;
-    config.tree = topology::Tree::random_tree(n, seed);
+    service::LockSpaceConfig config =
+        testsupport::cs_config(n, topology::Tree::random_tree(n, seed));
     config.seed = seed;
-    Cluster cluster(make_neilsen_algorithm(), std::move(config));
-    install_invariant_hook(cluster);
+    const auto owned =
+        testsupport::single_cs(make_neilsen_algorithm(), std::move(config), 1);
+    service::LockSpace& space = *owned;
+    install_invariant_hook(space);
 
     // Token holder occupies the CS while the others pile up behind it.
-    cluster.request_cs(1);
+    space.acquire(kCs, 1);
     std::vector<NodeId> grant_order;
     for (NodeId v = 2; v <= n; ++v) {
-      cluster.request_cs(v, [&](NodeId who) { grant_order.push_back(who); });
-      cluster.simulator().run_until(cluster.simulator().now() +
+      space.acquire(kCs, v, [&](ResourceId, NodeId who) {
+        grant_order.push_back(who);
+      });
+      space.simulator().run_until(space.simulator().now() +
                                     static_cast<Tick>(seed % 3));
     }
     // Absorb all requests into FOLLOW variables (token stays at node 1).
-    while (cluster.network().in_flight_count("REQUEST") > 0) {
-      cluster.simulator().step();
+    while (in_flight(space, "REQUEST") > 0) {
+      space.simulator().step();
     }
     const std::vector<NodeId> deduced =
-        deduce_waiting_queue(view(cluster), 1);
+        deduce_waiting_queue(view(space), 1);
     EXPECT_EQ(deduced.size(), static_cast<std::size_t>(n - 1));
 
     // Now let the token walk the queue; the grant order must equal the
     // queue deduced from the FOLLOW chain.
-    cluster.release_cs(1);
+    space.release(kCs, 1);
     for (int i = 0; i < n - 1; ++i) {
-      cluster.run_to_quiescence();
+      space.run_to_quiescence();
       ASSERT_EQ(grant_order.size(), static_cast<std::size_t>(i + 1));
-      cluster.release_cs(grant_order.back());
+      space.release(kCs, grant_order.back());
     }
     EXPECT_EQ(grant_order, deduced) << "seed " << seed;
   }
@@ -162,18 +168,17 @@ TEST(NeilsenBounds, MessagesPerEntryIsDistancePlusOne) {
   for (const char* kind : {"line", "star", "kary", "random"}) {
     const int n = 9;
     const topology::Tree tree = make_topology(kind, n, 3);
-    ClusterConfig config;
-    config.n = n;
-    config.initial_token_holder = 1;
-    config.tree = tree;
-    Cluster cluster(make_neilsen_algorithm(), std::move(config));
-    install_invariant_hook(cluster);
+    service::LockSpaceConfig config = testsupport::cs_config(n, tree);
+    const auto owned =
+        testsupport::single_cs(make_neilsen_algorithm(), std::move(config), 1);
+    service::LockSpace& space = *owned;
+    install_invariant_hook(space);
 
     for (NodeId holder = 1; holder <= n; holder += 2) {
-      harness::park_token_at(cluster, holder);
+      harness::park_token_at(space, kCs, holder);
       for (NodeId requester = 1; requester <= n; requester += 3) {
         const harness::ProbeResult probe =
-            harness::single_entry_probe(cluster, requester);
+            harness::single_entry_probe(space, kCs, requester);
         const int d = tree.distance(requester, holder);
         if (requester == holder) {
           EXPECT_EQ(probe.messages_total, 0u);
@@ -185,7 +190,7 @@ TEST(NeilsenBounds, MessagesPerEntryIsDistancePlusOne) {
                   static_cast<std::uint64_t>(tree.diameter() + 1));
         // The requester now holds the token; subsequent distances are
         // measured from it.
-        harness::park_token_at(cluster, holder);
+        harness::park_token_at(space, kCs, holder);
       }
     }
   }
@@ -196,11 +201,11 @@ TEST(NeilsenDelay, SynchronizationDelayIsOneMessage) {
   // to the next node — one hop with unit latency, beating the
   // centralized scheme's two (RELEASE + GRANT).
   for (const char* kind : {"line", "star", "random"}) {
-    ClusterConfig config;
-    config.n = 8;
-    config.initial_token_holder = 1;
-    config.tree = make_topology(kind, 8, 11);
-    Cluster cluster(make_neilsen_algorithm(), std::move(config));
+    service::LockSpaceConfig config =
+        testsupport::cs_config(8, make_topology(kind, 8, 11));
+    const auto owned =
+        testsupport::single_cs(make_neilsen_algorithm(), std::move(config), 1);
+    service::LockSpace& space = *owned;
 
     workload::WorkloadConfig wl;
     wl.target_entries = 100;
@@ -212,7 +217,7 @@ TEST(NeilsenDelay, SynchronizationDelayIsOneMessage) {
     wl.hold_hi = 8;
     wl.seed = 5;
     const workload::WorkloadResult result =
-        workload::run_workload(cluster, wl);
+        workload::run_workload(space, kCs, wl);
     ASSERT_GT(result.sync_delay_ticks.count(), 0u);
     EXPECT_EQ(result.sync_delay_ticks.max(), 1.0) << kind;
   }
@@ -220,21 +225,22 @@ TEST(NeilsenDelay, SynchronizationDelayIsOneMessage) {
 
 TEST(NeilsenDeterminism, SameSeedSameTrace) {
   auto run_once = [](std::uint64_t seed) {
-    ClusterConfig config;
-    config.n = 7;
-    config.initial_token_holder = 2;
-    config.tree = topology::Tree::random_tree(7, 13);
+    service::LockSpaceConfig config =
+        testsupport::cs_config(7, topology::Tree::random_tree(7, 13));
     config.latency_model = std::make_unique<net::ExponentialLatency>(4.0);
     config.seed = seed;
-    Cluster cluster(make_neilsen_algorithm(), std::move(config));
+    const auto owned =
+        testsupport::single_cs(make_neilsen_algorithm(), std::move(config), 2);
+    service::LockSpace& space = *owned;
     workload::WorkloadConfig wl;
     wl.target_entries = 150;
     wl.mean_think_ticks = 6.0;
     wl.hold_hi = 3;
     wl.seed = 99;
-    workload::run_workload(cluster, wl);
+    const workload::WorkloadResult result =
+        workload::run_workload(space, kCs, wl);
     std::vector<std::tuple<Tick, NodeId, int>> log;
-    for (const auto& event : cluster.events()) {
+    for (const auto& event : result.events) {
       log.emplace_back(event.at, event.node, static_cast<int>(event.kind));
     }
     return log;

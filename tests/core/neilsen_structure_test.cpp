@@ -3,24 +3,34 @@
 // deduction utilities on their own.
 #include <gtest/gtest.h>
 
+#include "../support/single_cs.hpp"
 #include "core/algorithm.hpp"
 #include "core/implicit_queue.hpp"
 #include "core/invariants.hpp"
 #include "core/neilsen_node.hpp"
-#include "harness/cluster.hpp"
+#include "harness/probe.hpp"
 #include "topology/tree.hpp"
 
 namespace dmx::core {
 namespace {
 
-using harness::Cluster;
-using harness::ClusterConfig;
+using testsupport::in_flight;
+using testsupport::kCs;
+using testsupport::node_as;
 
-NodeView view(Cluster& cluster) {
+std::unique_ptr<service::LockSpace> neilsen_space(topology::Tree tree,
+                                                  NodeId holder) {
+  const int n = tree.size();
+  return testsupport::single_cs(make_neilsen_algorithm(),
+                                testsupport::cs_config(n, std::move(tree)),
+                                holder);
+}
+
+NodeView view(service::LockSpace& space) {
   NodeView nodes;
   nodes.push_back(nullptr);
-  for (NodeId v = 1; v <= cluster.size(); ++v) {
-    nodes.push_back(&cluster.node_as<NeilsenNode>(v));
+  for (NodeId v = 1; v <= space.nodes(); ++v) {
+    nodes.push_back(&node_as<NeilsenNode>(space, v));
   }
   return nodes;
 }
@@ -34,97 +44,67 @@ std::size_t count_sinks(const NodeView& nodes) {
 }
 
 TEST(NeilsenSinks, ExactlyOneSinkAtRest) {
-  ClusterConfig config;
-  config.n = 6;
-  config.initial_token_holder = 3;
-  config.tree = topology::Tree::line(6);
-  Cluster cluster(make_neilsen_algorithm(), std::move(config));
-  EXPECT_EQ(count_sinks(view(cluster)), 1u);
+  const auto space = neilsen_space(topology::Tree::line(6), 3);
+  EXPECT_EQ(count_sinks(view(*space)), 1u);
 }
 
 TEST(NeilsenSinks, ThreeSinksWhileTwoRequestsAreInTransit) {
   // Chapter 3: "Assume that node X and node Y initiate requests at about
   // the same time. There may be at most three sink nodes while the
   // requests are in transit: node X, node Y and the current sink."
-  ClusterConfig config;
-  config.n = 5;
-  config.initial_token_holder = 3;
-  config.tree = topology::Tree::line(5);
-  Cluster cluster(make_neilsen_algorithm(), std::move(config));
+  const auto space = neilsen_space(topology::Tree::line(5), 3);
 
-  cluster.request_cs(1);
-  cluster.request_cs(5);
+  space->acquire(kCs, 1);
+  space->acquire(kCs, 5);
   // Nothing delivered yet: 1 and 5 made themselves sinks; 3 still is one.
-  EXPECT_EQ(count_sinks(view(cluster)), 3u);
-  EXPECT_EQ(cluster.network().in_flight_count("REQUEST"), 2u);
+  EXPECT_EQ(count_sinks(view(*space)), 3u);
+  EXPECT_EQ(in_flight(*space, "REQUEST"), 2u);
 
   // As requests land, the sink count collapses back toward one.
-  cluster.run_to_quiescence();
+  space->run_to_quiescence();
   // Token holder 3 is in... nobody was in CS: node 3 idle-holding handed
   // the token to whichever request arrived first.
-  EXPECT_EQ(count_sinks(view(cluster)),
-            1u + cluster.network().in_flight_count("REQUEST"));
+  EXPECT_EQ(count_sinks(view(*space)),
+            1u + in_flight(*space, "REQUEST"));
 }
 
 TEST(NeilsenSinks, SinkCountNeverExceedsRequestsInFlightPlusOne) {
-  ClusterConfig config;
-  config.n = 7;
-  config.initial_token_holder = 4;
-  config.tree = topology::Tree::random_tree(7, 9);
-  Cluster cluster(make_neilsen_algorithm(), std::move(config));
-  cluster.set_post_event_hook([](Cluster& c) {
-    NodeView nodes;
-    nodes.push_back(nullptr);
-    for (NodeId v = 1; v <= c.size(); ++v) {
-      nodes.push_back(&c.node_as<NeilsenNode>(v));
-    }
-    ASSERT_LE(count_sinks(nodes),
-              c.network().in_flight_count("REQUEST") + 1);
+  const auto space = neilsen_space(topology::Tree::random_tree(7, 9), 4);
+  space->set_post_event_hook([](service::LockSpace& s, ResourceId) {
+    ASSERT_LE(count_sinks(view(s)), in_flight(s, "REQUEST") + 1);
   });
   for (NodeId v = 1; v <= 7; ++v) {
-    cluster.hold_and_release(v, 1);
+    harness::hold_and_release(*space, kCs, v, 1);
   }
-  cluster.run_to_quiescence();
+  space->run_to_quiescence();
 }
 
 TEST(ImplicitQueue, HolderWithEmptyChain) {
-  ClusterConfig config;
-  config.n = 4;
-  config.initial_token_holder = 2;
-  config.tree = topology::Tree::star(4, 1);
-  Cluster cluster(make_neilsen_algorithm(), std::move(config));
-  const NodeView nodes = view(cluster);
+  const auto space = neilsen_space(topology::Tree::star(4, 1), 2);
+  const NodeView nodes = view(*space);
   EXPECT_EQ(find_token_holder(nodes), 2);
   EXPECT_TRUE(deduce_waiting_queue(nodes, 2).empty());
 }
 
 TEST(ImplicitQueue, HolderInCsStillFound) {
-  ClusterConfig config;
-  config.n = 3;
-  config.initial_token_holder = 1;
-  config.tree = topology::Tree::line(3);
-  Cluster cluster(make_neilsen_algorithm(), std::move(config));
-  cluster.request_cs(1);
-  EXPECT_EQ(find_token_holder(view(cluster)), 1);
-  cluster.release_cs(1);
+  const auto space = neilsen_space(topology::Tree::line(3), 1);
+  space->acquire(kCs, 1);
+  EXPECT_EQ(find_token_holder(view(*space)), 1);
+  space->release(kCs, 1);
 }
 
 TEST(ImplicitQueue, NoHolderWhileTokenInFlight) {
-  ClusterConfig config;
-  config.n = 3;
-  config.initial_token_holder = 1;
-  config.tree = topology::Tree::line(3);
-  Cluster cluster(make_neilsen_algorithm(), std::move(config));
-  cluster.request_cs(3);
+  const auto space = neilsen_space(topology::Tree::line(3), 1);
+  space->acquire(kCs, 3);
   // Run until the idle holder has dispatched the PRIVILEGE but node 3
   // has not received it yet.
-  while (cluster.network().in_flight_count("PRIVILEGE") == 0) {
-    cluster.simulator().step();
+  while (in_flight(*space, "PRIVILEGE") == 0) {
+    space->simulator().step();
   }
-  EXPECT_EQ(find_token_holder(view(cluster)), kNilNode);
-  cluster.run_to_quiescence();
-  EXPECT_EQ(find_token_holder(view(cluster)), 3);
-  cluster.release_cs(3);
+  EXPECT_EQ(find_token_holder(view(*space)), kNilNode);
+  space->run_to_quiescence();
+  EXPECT_EQ(find_token_holder(view(*space)), 3);
+  space->release(kCs, 3);
 }
 
 TEST(ImplicitQueue, CorruptFollowCycleDetected) {
@@ -149,16 +129,12 @@ TEST(EdgeInversion, UndirectedTreeIsPreservedForever) {
   // Chapter 5 assumption 2: forwarding a REQUEST "simply changes the
   // direction of an edge", so the undirected edge multiset of the NEXT
   // graph (plus each sink's missing edge) stays within the original tree.
-  ClusterConfig config;
-  config.n = 8;
-  config.initial_token_holder = 5;
   const topology::Tree tree = topology::Tree::random_tree(8, 31);
-  config.tree = tree;
-  Cluster cluster(make_neilsen_algorithm(), std::move(config));
+  const auto space = neilsen_space(tree, 5);
 
-  auto edges_are_tree_edges = [&](Cluster& c) {
-    for (NodeId v = 1; v <= c.size(); ++v) {
-      const NodeId next = c.node_as<NeilsenNode>(v).next();
+  auto edges_are_tree_edges = [&](service::LockSpace& s) {
+    for (NodeId v = 1; v <= s.nodes(); ++v) {
+      const NodeId next = node_as<NeilsenNode>(s, v).next();
       if (next == kNilNode) continue;
       const auto& nbrs = tree.neighbors(v);
       ASSERT_TRUE(std::find(nbrs.begin(), nbrs.end(), next) != nbrs.end())
@@ -166,15 +142,15 @@ TEST(EdgeInversion, UndirectedTreeIsPreservedForever) {
           << " is not an edge of the logical tree";
     }
   };
-  cluster.set_post_event_hook(
-      [&](Cluster& c) { edges_are_tree_edges(c); });
+  space->set_post_event_hook(
+      [&](service::LockSpace& s, ResourceId) { edges_are_tree_edges(s); });
   for (int round = 0; round < 3; ++round) {
     for (NodeId v = 1; v <= 8; ++v) {
-      cluster.hold_and_release(v, 2);
+      harness::hold_and_release(*space, kCs, v, 2);
     }
-    cluster.run_to_quiescence();
+    space->run_to_quiescence();
   }
-  EXPECT_EQ(cluster.total_entries(), 24u);
+  EXPECT_EQ(space->total_entries(), 24u);
 }
 
 }  // namespace

@@ -15,9 +15,9 @@
 #include <string>
 
 #include "baselines/registry.hpp"
-#include "harness/cluster.hpp"
 #include "modelcheck/swarm.hpp"
 #include "net/network.hpp"
+#include "support/single_cs.hpp"
 #include "topology/tree.hpp"
 #include "workload/workload.hpp"
 
@@ -55,15 +55,13 @@ class TraceHasher final : public net::NetworkObserver {
 };
 
 std::uint64_t neilsen_trace_digest(topology::Tree tree, std::uint64_t seed) {
-  harness::ClusterConfig config;
-  config.n = tree.size();
-  config.initial_token_holder = 1;
-  config.tree = std::move(tree);
+  service::LockSpaceConfig config =
+      testsupport::cs_config(tree.size(), std::move(tree));
   config.seed = seed;
-  harness::Cluster cluster(baselines::algorithm_by_name("Neilsen"),
-                           std::move(config));
+  const auto space = testsupport::single_cs(
+      baselines::algorithm_by_name("Neilsen"), std::move(config));
   TraceHasher hasher;
-  cluster.network().set_observer(&hasher);
+  space->network().set_observer(&hasher);
 
   workload::WorkloadConfig wl;
   wl.target_entries = 400;
@@ -71,7 +69,7 @@ std::uint64_t neilsen_trace_digest(topology::Tree tree, std::uint64_t seed) {
   wl.hold_lo = 0;
   wl.hold_hi = 2;
   wl.seed = seed;
-  workload::run_workload(cluster, wl);
+  workload::run_workload(*space, testsupport::kCs, wl);
   return hasher.digest();
 }
 
@@ -101,17 +99,14 @@ TEST(DeterminismGolden, PinnedStarTopology) {
 }
 
 TEST(DeterminismGolden, PinnedRandomTreeJitteryLatency) {
-  harness::ClusterConfig config;
   const topology::Tree tree = topology::Tree::random_tree(16, 3);
-  config.n = tree.size();
-  config.initial_token_holder = 1;
-  config.tree = tree;
+  service::LockSpaceConfig config = testsupport::cs_config(tree.size(), tree);
   config.latency_model = std::make_unique<net::UniformLatency>(1, 9);
   config.seed = 21;
-  harness::Cluster cluster(baselines::algorithm_by_name("Neilsen"),
-                           std::move(config));
+  const auto space = testsupport::single_cs(
+      baselines::algorithm_by_name("Neilsen"), std::move(config));
   TraceHasher hasher;
-  cluster.network().set_observer(&hasher);
+  space->network().set_observer(&hasher);
 
   workload::WorkloadConfig wl;
   wl.target_entries = 300;
@@ -119,7 +114,7 @@ TEST(DeterminismGolden, PinnedRandomTreeJitteryLatency) {
   wl.hold_lo = 0;
   wl.hold_hi = 3;
   wl.seed = 21;
-  workload::run_workload(cluster, wl);
+  workload::run_workload(*space, testsupport::kCs, wl);
   EXPECT_EQ(hasher.digest(), 0x763e75d029bfa294ULL)
       << "actual: 0x" << std::hex << hasher.digest();
 }

@@ -9,42 +9,42 @@
 #include <gtest/gtest.h>
 
 #include "baselines/registry.hpp"
-#include "harness/cluster.hpp"
+#include "support/single_cs.hpp"
 #include "topology/tree.hpp"
 #include "workload/workload.hpp"
 
 namespace dmx::harness {
 namespace {
 
-ClusterConfig line_config(int n, NodeId holder) {
-  ClusterConfig config;
-  config.n = n;
-  config.initial_token_holder = holder;
-  config.tree = topology::Tree::line(n);
-  return config;
+using testsupport::kCs;
+
+std::unique_ptr<service::LockSpace> line_space(const char* algorithm, int n) {
+  return testsupport::single_cs(
+      baselines::algorithm_by_name(algorithm),
+      testsupport::cs_config(n, topology::Tree::line(n)));
 }
 
 TEST(FailureInjection, DropCountingWorks) {
-  Cluster cluster(baselines::algorithm_by_name("Neilsen"), line_config(4, 1));
-  cluster.network().drop_next("REQUEST");
-  cluster.request_cs(3);
-  cluster.run_to_quiescence();
-  EXPECT_EQ(cluster.network().stats().total_dropped, 1u);
-  EXPECT_EQ(cluster.network().stats().sent("REQUEST"), 1u);  // counted sent
-  EXPECT_TRUE(cluster.is_waiting(3));  // and the requester hangs
+  const auto space = line_space("Neilsen", 4);
+  space->network().drop_next("REQUEST");
+  space->acquire(kCs, 3);
+  space->run_to_quiescence();
+  EXPECT_EQ(space->network().stats().total_dropped, 1u);
+  EXPECT_EQ(space->network().stats().sent("REQUEST"), 1u);  // counted sent
+  EXPECT_TRUE(space->is_waiting(kCs, 3));  // and the requester hangs
 }
 
 TEST(FailureInjection, LostPrivilegeIsDetectedAsTokenLoss) {
-  Cluster cluster(baselines::algorithm_by_name("Neilsen"), line_config(4, 1));
+  const auto space = line_space("Neilsen", 4);
   // Node 3 requests; node 1 holds the token and will answer with a
   // PRIVILEGE, which we destroy in flight.
-  cluster.network().drop_next("PRIVILEGE");
-  cluster.request_cs(3);
+  space->network().drop_next("PRIVILEGE");
+  space->acquire(kCs, 3);
   // Deliveries run until the REQUEST reaches node 1, whose PRIVILEGE
   // evaporates. The token-uniqueness invariant must now fail loudly.
   try {
-    cluster.run_to_quiescence();
-    cluster.check_invariants();
+    space->run_to_quiescence();
+    space->check_invariants(kCs);
     FAIL() << "token loss went undetected";
   } catch (const std::logic_error& e) {
     EXPECT_NE(std::string(e.what()).find("token count is 0"),
@@ -54,23 +54,23 @@ TEST(FailureInjection, LostPrivilegeIsDetectedAsTokenLoss) {
 }
 
 TEST(FailureInjection, DuplicatedPrivilegeIsDetectedAsForgedToken) {
-  Cluster cluster(baselines::algorithm_by_name("Neilsen"), line_config(4, 1));
+  const auto space = line_space("Neilsen", 4);
   // Node 3 requests; node 1 answers with a PRIVILEGE, which the network
   // duplicates in flight. Two tokens now exist; the invariant checker
   // must refuse to let the run continue.
-  cluster.network().duplicate_next("PRIVILEGE");
-  cluster.request_cs(3);
+  space->network().duplicate_next("PRIVILEGE");
+  space->acquire(kCs, 3);
   try {
-    cluster.run_to_quiescence();
+    space->run_to_quiescence();
     FAIL() << "token duplication went undetected";
   } catch (const std::logic_error& e) {
     EXPECT_NE(std::string(e.what()).find("token count is 2"),
               std::string::npos)
         << e.what();
   }
-  EXPECT_EQ(cluster.network().stats().total_duplicated, 1u);
+  EXPECT_EQ(space->network().stats().total_duplicated, 1u);
   // The duplicate is real traffic: both envelopes count as sent.
-  EXPECT_EQ(cluster.network().stats().sent("PRIVILEGE"), 2u);
+  EXPECT_EQ(space->network().stats().sent("PRIVILEGE"), 2u);
 }
 
 TEST(FailureInjection, DuplicatedRequestIsAbsorbedByRaymond) {
@@ -79,22 +79,23 @@ TEST(FailureInjection, DuplicatedRequestIsAbsorbedByRaymond) {
   // round-trip but never mints a second PRIVILEGE, so the run completes
   // with every invariant (checked after each event) intact. Contrast
   // with the duplicated-token cases, which must fail loudly.
-  Cluster cluster(baselines::algorithm_by_name("Raymond"), line_config(3, 1));
-  cluster.network().duplicate_next("REQUEST");
+  const auto space = line_space("Raymond", 3);
+  space->network().duplicate_next("REQUEST");
   workload::WorkloadConfig wl;
   wl.target_entries = 50;
-  const workload::WorkloadResult result = workload::run_workload(cluster, wl);
+  const workload::WorkloadResult result =
+      workload::run_workload(*space, kCs, wl);
   EXPECT_GE(result.entries, 50u);
-  EXPECT_EQ(cluster.network().stats().total_duplicated, 1u);
+  EXPECT_EQ(space->network().stats().total_duplicated, 1u);
 }
 
 TEST(FailureInjection, LostRequestStallsTheWorkload) {
-  Cluster cluster(baselines::algorithm_by_name("Neilsen"), line_config(5, 1));
-  cluster.network().drop_next("REQUEST");
+  const auto space = line_space("Neilsen", 5);
+  space->network().drop_next("REQUEST");
   workload::WorkloadConfig wl;
   wl.target_entries = 50;
   wl.participants = {5};  // its first REQUEST evaporates
-  EXPECT_THROW(workload::run_workload(cluster, wl), std::logic_error);
+  EXPECT_THROW(workload::run_workload(*space, kCs, wl), std::logic_error);
 }
 
 TEST(FailureInjection, LossyNetworkEventuallyViolatesOrStalls) {
@@ -102,14 +103,14 @@ TEST(FailureInjection, LossyNetworkEventuallyViolatesOrStalls) {
   // detectable failure modes: token loss (invariant failure) or a stalled
   // workload (liveness failure). Silent success would be a bug in the
   // failure injection or the checkers.
-  Cluster cluster(baselines::algorithm_by_name("Neilsen"), line_config(5, 1));
-  cluster.network().set_drop_probability(0.3);
+  const auto space = line_space("Neilsen", 5);
+  space->network().set_drop_probability(0.3);
   workload::WorkloadConfig wl;
   wl.target_entries = 2000;
   wl.seed = 3;
   bool detected = false;
   try {
-    workload::run_workload(cluster, wl);
+    workload::run_workload(*space, kCs, wl);
   } catch (const std::logic_error&) {
     detected = true;
   }
@@ -120,30 +121,30 @@ TEST(FailureInjection, AssertionAlgorithmsStallRatherThanDoubleGrant) {
   // Ricart–Agrawala with a lost REPLY: the requester simply never
   // assembles N-1 replies. Mutual exclusion is never violated; the
   // workload stalls and the stall is detected.
-  Cluster cluster(baselines::algorithm_by_name("Ricart-Agrawala"),
-                  line_config(4, 1));
-  cluster.network().drop_next("REPLY");
+  const auto space = line_space("Ricart-Agrawala", 4);
+  space->network().drop_next("REPLY");
   workload::WorkloadConfig wl;
   wl.target_entries = 10;
   wl.participants = {2};
-  EXPECT_THROW(workload::run_workload(cluster, wl), std::logic_error);
+  EXPECT_THROW(workload::run_workload(*space, kCs, wl), std::logic_error);
 }
 
 TEST(FailureInjection, ZeroDropProbabilityIsHarmless) {
-  Cluster cluster(baselines::algorithm_by_name("Neilsen"), line_config(4, 1));
-  cluster.network().set_drop_probability(0.0);
+  const auto space = line_space("Neilsen", 4);
+  space->network().set_drop_probability(0.0);
   workload::WorkloadConfig wl;
   wl.target_entries = 50;
-  const workload::WorkloadResult result = workload::run_workload(cluster, wl);
+  const workload::WorkloadResult result =
+      workload::run_workload(*space, kCs, wl);
   EXPECT_GE(result.entries, 50u);
-  EXPECT_EQ(cluster.network().stats().total_dropped, 0u);
+  EXPECT_EQ(space->network().stats().total_dropped, 0u);
 }
 
 TEST(FailureInjection, InvalidDropProbabilityRejected) {
-  Cluster cluster(baselines::algorithm_by_name("Neilsen"), line_config(3, 1));
-  EXPECT_THROW(cluster.network().set_drop_probability(-0.1),
+  const auto space = line_space("Neilsen", 3);
+  EXPECT_THROW(space->network().set_drop_probability(-0.1),
                std::logic_error);
-  EXPECT_THROW(cluster.network().set_drop_probability(1.5),
+  EXPECT_THROW(space->network().set_drop_probability(1.5),
                std::logic_error);
 }
 

@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "baselines/registry.hpp"
-#include "harness/cluster.hpp"
 #include "harness/delay_analysis.hpp"
 #include "metrics/summary.hpp"
+#include "support/single_cs.hpp"
 #include "topology/tree.hpp"
 #include "workload/workload.hpp"
 
@@ -62,20 +62,18 @@ TEST(EntriesPerNode, CountsEnters) {
 }
 
 TEST(NeilsenFairness, SaturatedRunIsNearlyEven) {
-  harness::ClusterConfig config;
-  config.n = 8;
-  config.initial_token_holder = 1;
-  config.tree = topology::Tree::star(8, 1);
-  Cluster cluster(baselines::algorithm_by_name("Neilsen"),
-                  std::move(config));
+  const auto space = testsupport::single_cs(
+      baselines::algorithm_by_name("Neilsen"),
+      testsupport::cs_config(8, topology::Tree::star(8, 1)));
   workload::WorkloadConfig wl;
   wl.target_entries = 400;
   wl.mean_think_ticks = 0.0;
   wl.hold_lo = wl.hold_hi = 8;
   wl.seed = 5;
-  workload::run_workload(cluster, wl);
+  const workload::WorkloadResult result =
+      workload::run_workload(*space, testsupport::kCs, wl);
 
-  std::vector<double> counts = entries_per_node(cluster.events(), 8);
+  std::vector<double> counts = entries_per_node(result.events, 8);
   counts.erase(counts.begin());  // drop unused slot 0
   EXPECT_GT(metrics::jain_fairness_index(counts), 0.95);
 }
@@ -84,20 +82,18 @@ TEST(NeilsenFairness, BypassesAreBoundedUnderContention) {
   // The implicit queue serializes by arrival at the sink; overtakes can
   // only happen while a request is still travelling, so bypass counts
   // stay small compared to the number of nodes.
-  harness::ClusterConfig config;
-  config.n = 10;
-  config.initial_token_holder = 1;
-  config.tree = topology::Tree::random_tree(10, 21);
-  Cluster cluster(baselines::algorithm_by_name("Neilsen"),
-                  std::move(config));
+  const auto space = testsupport::single_cs(
+      baselines::algorithm_by_name("Neilsen"),
+      testsupport::cs_config(10, topology::Tree::random_tree(10, 21)));
   workload::WorkloadConfig wl;
   wl.target_entries = 300;
   wl.mean_think_ticks = 3.0;
   wl.hold_lo = wl.hold_hi = 10;
   wl.seed = 9;
-  workload::run_workload(cluster, wl);
+  const workload::WorkloadResult result =
+      workload::run_workload(*space, testsupport::kCs, wl);
 
-  const metrics::Summary bypasses = bypass_counts(cluster.events());
+  const metrics::Summary bypasses = bypass_counts(result.events);
   ASSERT_GT(bypasses.count(), 0u);
   EXPECT_LE(bypasses.max(), 10.0);
   EXPECT_LT(bypasses.mean(), 3.0);

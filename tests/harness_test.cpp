@@ -1,77 +1,87 @@
-// Tests for the simulation harness: cluster lifecycle, grant/release
-// bookkeeping, probes, and the delay analyses.
+// Tests for the single-CS harness over a one-resource sim LockSpace:
+// lifecycle, grant/release bookkeeping, the driver-side event log,
+// probes, and the delay analyses. The `Cluster` suite keeps the name of
+// the single-resource harness these cases were written against.
 #include <gtest/gtest.h>
 
 #include "baselines/registry.hpp"
-#include "harness/cluster.hpp"
 #include "harness/delay_analysis.hpp"
 #include "harness/probe.hpp"
+#include "support/single_cs.hpp"
 #include "topology/tree.hpp"
+#include "workload/workload.hpp"
 
 namespace dmx::harness {
 namespace {
 
-ClusterConfig line_config(int n, NodeId holder) {
-  ClusterConfig config;
-  config.n = n;
-  config.initial_token_holder = holder;
-  config.tree = topology::Tree::line(n);
-  return config;
+using testsupport::kCs;
+
+std::unique_ptr<service::LockSpace> line_space(int n, NodeId holder) {
+  return testsupport::single_cs(
+      baselines::algorithm_by_name("Neilsen"),
+      testsupport::cs_config(n, topology::Tree::line(n)), holder);
 }
 
 TEST(Cluster, GrantCallbackFiresOnEntry) {
-  Cluster cluster(baselines::algorithm_by_name("Neilsen"), line_config(4, 1));
+  const auto space = line_space(4, 1);
   bool entered = false;
-  cluster.request_cs(1, [&](NodeId v) {
+  space->acquire(kCs, 1, [&](ResourceId r, NodeId v) {
+    EXPECT_EQ(r, kCs);
     EXPECT_EQ(v, 1);
     entered = true;
   });
   EXPECT_TRUE(entered);  // holder enters synchronously
-  EXPECT_TRUE(cluster.is_in_cs(1));
-  EXPECT_EQ(cluster.cs_occupant(), 1);
-  cluster.release_cs(1);
-  EXPECT_EQ(cluster.cs_occupant(), kNilNode);
+  EXPECT_TRUE(space->is_in_cs(kCs, 1));
+  EXPECT_EQ(space->occupant(kCs), 1);
+  space->release(kCs, 1);
+  EXPECT_EQ(space->occupant(kCs), kNilNode);
 }
 
 TEST(Cluster, DoubleRequestRejected) {
-  Cluster cluster(baselines::algorithm_by_name("Neilsen"), line_config(4, 1));
-  cluster.request_cs(2);
-  EXPECT_THROW(cluster.request_cs(2), std::logic_error);
+  const auto space = line_space(4, 1);
+  space->acquire(kCs, 2);
+  EXPECT_THROW(space->acquire(kCs, 2), std::logic_error);
 }
 
 TEST(Cluster, ReleaseByNonOccupantRejected) {
-  Cluster cluster(baselines::algorithm_by_name("Neilsen"), line_config(4, 1));
-  cluster.request_cs(1);
-  EXPECT_THROW(cluster.release_cs(2), std::logic_error);
+  const auto space = line_space(4, 1);
+  space->acquire(kCs, 1);
+  EXPECT_THROW(space->release(kCs, 2), std::logic_error);
 }
 
 TEST(Cluster, WaitingStateVisible) {
-  Cluster cluster(baselines::algorithm_by_name("Neilsen"), line_config(4, 1));
-  cluster.request_cs(1);
-  cluster.request_cs(3);
-  EXPECT_TRUE(cluster.is_waiting(3));
-  EXPECT_FALSE(cluster.is_in_cs(3));
-  cluster.run_to_quiescence();
-  EXPECT_TRUE(cluster.is_waiting(3));  // token still held by node 1
-  cluster.release_cs(1);
-  cluster.run_to_quiescence();
-  EXPECT_TRUE(cluster.is_in_cs(3));
+  const auto space = line_space(4, 1);
+  space->acquire(kCs, 1);
+  space->acquire(kCs, 3);
+  EXPECT_TRUE(space->is_waiting(kCs, 3));
+  EXPECT_FALSE(space->is_in_cs(kCs, 3));
+  space->run_to_quiescence();
+  EXPECT_TRUE(space->is_waiting(kCs, 3));  // token still held by node 1
+  space->release(kCs, 1);
+  space->run_to_quiescence();
+  EXPECT_TRUE(space->is_in_cs(kCs, 3));
 }
 
 TEST(Cluster, HoldAndReleaseCompletesCycle) {
-  Cluster cluster(baselines::algorithm_by_name("Neilsen"), line_config(4, 1));
+  const auto space = line_space(4, 1);
   bool released = false;
-  cluster.hold_and_release(3, 5, [&](NodeId) { released = true; });
-  cluster.run_to_quiescence();
+  hold_and_release(*space, kCs, 3, 5, [&](NodeId) { released = true; });
+  space->run_to_quiescence();
   EXPECT_TRUE(released);
-  EXPECT_EQ(cluster.total_entries(), 1u);
+  EXPECT_EQ(space->total_entries(), 1u);
 }
 
 TEST(Cluster, EventLogRecordsLifecycle) {
-  Cluster cluster(baselines::algorithm_by_name("Neilsen"), line_config(3, 1));
-  cluster.hold_and_release(2, 4);
-  cluster.run_to_quiescence();
-  const auto& events = cluster.events();
+  // The log is the driver's: run_workload records request/enter/exit
+  // from its own acquire callback and release call.
+  const auto space = line_space(3, 1);
+  workload::WorkloadConfig wl;
+  wl.target_entries = 1;
+  wl.participants = {2};
+  wl.hold_lo = wl.hold_hi = 4;
+  const workload::WorkloadResult result =
+      workload::run_workload(*space, kCs, wl);
+  const auto& events = result.events;
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].kind, CsEvent::Kind::kRequest);
   EXPECT_EQ(events[1].kind, CsEvent::Kind::kEnter);
@@ -80,31 +90,47 @@ TEST(Cluster, EventLogRecordsLifecycle) {
 }
 
 TEST(Cluster, EventLoggingCanBeDisabled) {
-  Cluster cluster(baselines::algorithm_by_name("Neilsen"), line_config(3, 1));
-  cluster.set_event_logging(false);
-  cluster.hold_and_release(2, 1);
-  cluster.run_to_quiescence();
-  EXPECT_TRUE(cluster.events().empty());
+  // The space keeps no log of its own: a driver that records none (here
+  // hold_and_release) leaves nothing behind but the entry count, and a
+  // later workload's log covers only its own run.
+  const auto space = line_space(3, 1);
+  hold_and_release(*space, kCs, 2, 1);
+  space->run_to_quiescence();
+  EXPECT_EQ(space->entries(kCs), 1u);
+  workload::WorkloadConfig wl;
+  wl.target_entries = 1;
+  wl.participants = {3};
+  const workload::WorkloadResult result =
+      workload::run_workload(*space, kCs, wl);
+  ASSERT_EQ(result.events.size(), 3u);
+  for (const CsEvent& event : result.events) EXPECT_EQ(event.node, 3);
 }
 
 TEST(Cluster, TreeRequiredForTreeAlgorithms) {
-  ClusterConfig config;
-  config.n = 3;
-  EXPECT_THROW(
-      Cluster(baselines::algorithm_by_name("Neilsen"), std::move(config)),
-      std::logic_error);
+  // A tree algorithm given no tree runs over the star centred on node 1;
+  // a tree of the wrong size is rejected.
+  const auto star = testsupport::single_cs(
+      baselines::algorithm_by_name("Neilsen"), testsupport::cs_config(3));
+  hold_and_release(*star, kCs, 3, 0);
+  star->run_to_quiescence();
+  // REQUEST 3->1 and PRIVILEGE 1->3.
+  EXPECT_EQ(star->network().stats().total_sent, 2u);
+  const proto::Algorithm neilsen = baselines::algorithm_by_name("Neilsen");
+  EXPECT_THROW(testsupport::single_cs(
+                   neilsen, testsupport::cs_config(3, topology::Tree::line(4))),
+               std::logic_error);
 }
 
 TEST(Probe, ParkTokenMovesToken) {
-  Cluster cluster(baselines::algorithm_by_name("Neilsen"), line_config(5, 1));
-  park_token_at(cluster, 4);
-  EXPECT_TRUE(cluster.node(4).has_token());
-  EXPECT_FALSE(cluster.node(1).has_token());
+  const auto space = line_space(5, 1);
+  park_token_at(*space, kCs, 4);
+  EXPECT_TRUE(space->node(kCs, 4).has_token());
+  EXPECT_FALSE(space->node(kCs, 1).has_token());
 }
 
 TEST(Probe, SingleEntryMeasuresTicksAndMessages) {
-  Cluster cluster(baselines::algorithm_by_name("Neilsen"), line_config(5, 1));
-  const ProbeResult probe = single_entry_probe(cluster, 5, /*hold=*/3);
+  const auto space = line_space(5, 1);
+  const ProbeResult probe = single_entry_probe(*space, kCs, 5, /*hold=*/3);
   // 4 REQUEST hops + 1 PRIVILEGE, all at unit latency.
   EXPECT_EQ(probe.messages_total, 5u);
   EXPECT_EQ(probe.messages_to_enter, 5u);

@@ -122,10 +122,14 @@ TEST_F(NetTest, InFlightTracking) {
   install(3, std::make_unique<FixedLatency>(10));
   network->send(1, 2, std::make_unique<TestMessage>(1, "X"));
   network->send(1, 3, std::make_unique<TestMessage>(2, "Y"));
+  // Unresourced sends ride resource 0 at epoch 0.
   EXPECT_EQ(network->in_flight_count(), 2u);
-  EXPECT_EQ(network->in_flight_count("X"), 1u);
-  EXPECT_EQ(network->in_flight_count("Y"), 1u);
-  EXPECT_EQ(network->in_flight_count("Z"), 0u);
+  EXPECT_EQ(network->in_flight_count(0, Epoch{0}, MessageKind::lookup("X")),
+            1u);
+  EXPECT_EQ(network->in_flight_count(0, Epoch{0}, MessageKind::lookup("Y")),
+            1u);
+  EXPECT_EQ(network->in_flight_count(0, Epoch{0}, MessageKind::lookup("Z")),
+            0u);
   sim.run();
   EXPECT_EQ(network->in_flight_count(), 0u);
 }
@@ -200,7 +204,7 @@ TEST_F(NetTest, PartitionSeversBothDirectionsUntilHealed) {
 TEST_F(NetTest, PartitionLeavesInFlightEnvelopesToDeliver) {
   // A partition severs the LINK, not the wire already traversed: it drops
   // at send time only. Envelopes mid-flight when the link goes down still
-  // deliver, and every per-resource/per-kind in-flight counter must agree
+  // deliver, and the per-resource/epoch/kind in-flight counter must agree
   // with that — in particular a PRIVILEGE (the token) launched before the
   // partition keeps existing exactly once, so the token-uniqueness
   // witness (in-flight PRIVILEGE count plus holder count) is unaffected.
@@ -212,20 +216,19 @@ TEST_F(NetTest, PartitionLeavesInFlightEnvelopesToDeliver) {
   network->send(r, 1, 2, std::make_unique<TestMessage>(2, "TEST"));
   sim.run_until(5);
   EXPECT_EQ(network->in_flight_count(), 2u);
-  EXPECT_EQ(network->in_flight_count(r, privilege), 1u);
+  EXPECT_EQ(network->in_flight_count(r, Epoch{0}, privilege), 1u);
 
   network->partition(1, 2);  // both envelopes are mid-flight, due at t=10
 
   // In flight means in flight: the partition changed nothing about them.
   EXPECT_EQ(network->in_flight_count(), 2u);
-  EXPECT_EQ(network->in_flight_count(r, privilege), 1u);
   EXPECT_EQ(network->in_flight_count(r, Epoch{0}, privilege), 1u);
 
   // New traffic on the severed link is dropped at send, and the dropped
   // PRIVILEGE never enters the in-flight accounting (it never existed on
   // the wire — the counter must not leak upward and later underflow).
   network->send(r, 2, 1, std::make_unique<TestMessage>(3, "PRIVILEGE"));
-  EXPECT_EQ(network->in_flight_count(r, privilege), 1u);
+  EXPECT_EQ(network->in_flight_count(r, Epoch{0}, privilege), 1u);
   EXPECT_EQ(network->stats().total_dropped, 1u);
 
   int discards = 0;
@@ -240,7 +243,6 @@ TEST_F(NetTest, PartitionLeavesInFlightEnvelopesToDeliver) {
   EXPECT_EQ(deliveries[1].value, 2);
   EXPECT_EQ(discards, 0);
   EXPECT_EQ(network->in_flight_count(), 0u);
-  EXPECT_EQ(network->in_flight_count(r, privilege), 0u);
   EXPECT_EQ(network->in_flight_count(r, Epoch{0}, privilege), 0u);
   // Exactly one token ever existed: one PRIVILEGE sent, none duplicated.
   EXPECT_EQ(network->stats().sent(privilege), 2u);  // 1 delivered + 1 dropped

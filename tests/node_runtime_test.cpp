@@ -72,7 +72,7 @@ struct OneRuntime {
             exec::ExecutorConfig{/*workers=*/1, /*spin=*/64}) {
     const proto::Algorithm algorithm = baselines::algorithm_by_name("Neilsen");
     set.add_resource("res", algorithm, /*home=*/1);
-    runtime = std::make_unique<NodeRuntime>(set, transport, self, /*seed=*/1,
+    runtime = std::make_unique<NodeRuntime>(set, transport, self,
                                             /*recovery_enabled=*/true);
     proto::ClusterSpec spec;
     spec.n = n;

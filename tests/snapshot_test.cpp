@@ -11,20 +11,21 @@
 #include <vector>
 
 #include "baselines/registry.hpp"
-#include "harness/cluster.hpp"
+#include "support/single_cs.hpp"
 #include "topology/tree.hpp"
 #include "workload/workload.hpp"
 
 namespace dmx {
 namespace {
 
-harness::ClusterConfig make_config(const proto::Algorithm& algo, int n) {
-  harness::ClusterConfig config;
-  config.n = n;
-  config.initial_token_holder = 1;
+using testsupport::kCs;
+
+std::unique_ptr<service::LockSpace> make_space(const proto::Algorithm& algo,
+                                               int n) {
+  service::LockSpaceConfig config = testsupport::cs_config(n);
   if (algo.needs_tree) config.tree = topology::Tree::line(n);
   config.seed = 9;
-  return config;
+  return testsupport::single_cs(algo, std::move(config));
 }
 
 /// Fresh factory-built nodes for `algo`, for restoring snapshots into.
@@ -37,13 +38,13 @@ std::vector<std::unique_ptr<proto::MutexNode>> fresh_nodes(
   return algo.factory(spec);
 }
 
-void roundtrip_all_nodes(harness::Cluster& cluster,
+void roundtrip_all_nodes(service::LockSpace& space,
                          const proto::Algorithm& algo,
                          const topology::Tree& tree, const char* when) {
-  auto fresh = fresh_nodes(algo, tree, cluster.size());
-  for (NodeId v = 1; v <= cluster.size(); ++v) {
-    const std::string blob = cluster.node(v).snapshot();
-    EXPECT_EQ(blob, cluster.node(v).snapshot())
+  auto fresh = fresh_nodes(algo, tree, space.nodes());
+  for (NodeId v = 1; v <= space.nodes(); ++v) {
+    const std::string blob = space.node(kCs, v).snapshot();
+    EXPECT_EQ(blob, space.node(kCs, v).snapshot())
         << algo.name << " node " << v << " " << when
         << ": snapshot not deterministic";
     proto::MutexNode& target = *fresh[static_cast<std::size_t>(v)];
@@ -51,11 +52,11 @@ void roundtrip_all_nodes(harness::Cluster& cluster,
     EXPECT_EQ(target.snapshot(), blob)
         << algo.name << " node " << v << " " << when
         << ": restore(snapshot()) not a fixpoint";
-    EXPECT_EQ(target.debug_state(), cluster.node(v).debug_state())
+    EXPECT_EQ(target.debug_state(), space.node(kCs, v).debug_state())
         << algo.name << " node " << v << " " << when;
-    EXPECT_EQ(target.has_token(), cluster.node(v).has_token())
+    EXPECT_EQ(target.has_token(), space.node(kCs, v).has_token())
         << algo.name << " node " << v << " " << when;
-    EXPECT_EQ(target.state_bytes(), cluster.node(v).state_bytes())
+    EXPECT_EQ(target.state_bytes(), space.node(kCs, v).state_bytes())
         << algo.name << " node " << v << " " << when;
   }
 }
@@ -64,32 +65,33 @@ TEST(Snapshot, RoundTripsMidProtocolAndQuiescentForEveryAlgorithm) {
   const int n = 5;
   const topology::Tree tree = topology::Tree::line(n);
   for (const proto::Algorithm& algo : baselines::all_algorithms()) {
-    harness::Cluster cluster(algo, make_config(algo, n));
+    const auto owned = make_space(algo, n);
+    service::LockSpace& space = *owned;
 
     // Initial state.
-    roundtrip_all_nodes(cluster, algo, tree, "initially");
+    roundtrip_all_nodes(space, algo, tree, "initially");
 
     // Mid-protocol: several contending requests, partially delivered.
-    cluster.request_cs(3);
-    cluster.request_cs(5);
-    cluster.request_cs(2);
-    cluster.simulator().run_until(2);
-    roundtrip_all_nodes(cluster, algo, tree, "mid-protocol");
+    space.acquire(kCs, 3);
+    space.acquire(kCs, 5);
+    space.acquire(kCs, 2);
+    space.simulator().run_until(2);
+    roundtrip_all_nodes(space, algo, tree, "mid-protocol");
 
     // Drain, release everyone, drive a small randomized workload, then
     // check the quiescent state too.
-    cluster.run_to_quiescence();
-    while (cluster.cs_occupant() != kNilNode) {
-      cluster.release_cs(cluster.cs_occupant());
-      cluster.run_to_quiescence();
+    space.run_to_quiescence();
+    while (space.occupant(kCs) != kNilNode) {
+      space.release(kCs, space.occupant(kCs));
+      space.run_to_quiescence();
     }
     workload::WorkloadConfig wl;
     wl.target_entries = 30;
     wl.mean_think_ticks = 1.0;
     wl.hold_lo = 0;
     wl.hold_hi = 2;
-    workload::run_workload(cluster, wl);
-    roundtrip_all_nodes(cluster, algo, tree, "after workload");
+    workload::run_workload(space, kCs, wl);
+    roundtrip_all_nodes(space, algo, tree, "after workload");
   }
 }
 

@@ -3,29 +3,29 @@
 
 #include "baselines/registry.hpp"
 #include "core/neilsen_node.hpp"
-#include "harness/cluster.hpp"
+#include "harness/probe.hpp"
+#include "support/single_cs.hpp"
 #include "topology/tree.hpp"
 #include "trace/trace.hpp"
 
 namespace dmx::trace {
 namespace {
 
-harness::ClusterConfig line_config(int n, NodeId holder) {
-  harness::ClusterConfig config;
-  config.n = n;
-  config.initial_token_holder = holder;
-  config.tree = topology::Tree::line(n);
-  return config;
+using testsupport::kCs;
+
+std::unique_ptr<service::LockSpace> line_space(int n, NodeId holder) {
+  return testsupport::single_cs(
+      baselines::algorithm_by_name("Neilsen"),
+      testsupport::cs_config(n, topology::Tree::line(n)), holder);
 }
 
 TEST(MessageTrace, RecordsSendsAndDeliveries) {
-  harness::Cluster cluster(baselines::algorithm_by_name("Neilsen"),
-                           line_config(4, 1));
+  const auto space = line_space(4, 1);
   MessageTrace trace;
-  cluster.network().set_observer(&trace);
+  space->network().set_observer(&trace);
 
-  cluster.hold_and_release(3, 2);
-  cluster.run_to_quiescence();
+  harness::hold_and_release(*space, kCs, 3, 2);
+  space->run_to_quiescence();
 
   // 2 REQUEST hops + 1 PRIVILEGE.
   ASSERT_EQ(trace.records().size(), 3u);
@@ -41,27 +41,25 @@ TEST(MessageTrace, RecordsSendsAndDeliveries) {
 }
 
 TEST(MessageTrace, DumpContainsRoutes) {
-  harness::Cluster cluster(baselines::algorithm_by_name("Neilsen"),
-                           line_config(3, 1));
+  const auto space = line_space(3, 1);
   MessageTrace trace;
-  cluster.network().set_observer(&trace);
-  cluster.hold_and_release(2, 0);
-  cluster.run_to_quiescence();
+  space->network().set_observer(&trace);
+  harness::hold_and_release(*space, kCs, 2, 0);
+  space->run_to_quiescence();
   const std::string dump = trace.dump();
   EXPECT_NE(dump.find("2 -> 1"), std::string::npos);
   EXPECT_NE(dump.find("REQUEST(2,2)"), std::string::npos);
 }
 
 TEST(MessageTrace, RecordsResourceLaneAndDumpsIt) {
-  harness::Cluster cluster(baselines::algorithm_by_name("Neilsen"),
-                           line_config(3, 1));
+  const auto space = line_space(3, 1);
   MessageTrace trace;
-  cluster.network().set_observer(&trace);
-  cluster.hold_and_release(2, 0);
-  cluster.run_to_quiescence();
+  space->network().set_observer(&trace);
+  harness::hold_and_release(*space, kCs, 2, 0);
+  space->run_to_quiescence();
   ASSERT_FALSE(trace.records().empty());
-  // Pre-service cores send on the default lane (resource 0); the field
-  // still travels through every envelope and lands in the dump.
+  // The space's first resource is lane 0; the field travels through
+  // every envelope and lands in the dump.
   for (const TraceRecord& record : trace.records()) {
     EXPECT_EQ(record.resource, 0);
   }
@@ -71,24 +69,22 @@ TEST(MessageTrace, RecordsResourceLaneAndDumpsIt) {
 
 TEST(MessageTrace, ClearEmptiesRecords) {
   MessageTrace trace;
-  harness::Cluster cluster(baselines::algorithm_by_name("Neilsen"),
-                           line_config(3, 1));
-  cluster.network().set_observer(&trace);
-  cluster.hold_and_release(3, 0);
-  cluster.run_to_quiescence();
+  const auto space = line_space(3, 1);
+  space->network().set_observer(&trace);
+  harness::hold_and_release(*space, kCs, 3, 0);
+  space->run_to_quiescence();
   EXPECT_FALSE(trace.records().empty());
   trace.clear();
   EXPECT_TRUE(trace.records().empty());
 }
 
 TEST(MessageTrace, LostMessageStaysUndelivered) {
-  harness::Cluster cluster(baselines::algorithm_by_name("Neilsen"),
-                           line_config(3, 1));
+  const auto space = line_space(3, 1);
   MessageTrace trace;
-  cluster.network().set_observer(&trace);
-  cluster.network().drop_next("REQUEST");
-  cluster.request_cs(3);
-  cluster.run_to_quiescence();
+  space->network().set_observer(&trace);
+  space->network().drop_next("REQUEST");
+  space->acquire(kCs, 3);
+  space->run_to_quiescence();
   // The drop happens before scheduling, so the observer never sees it; a
   // REQUEST that was sent but never delivered would show delivered_at=-1.
   for (const TraceRecord& record : trace.records()) {

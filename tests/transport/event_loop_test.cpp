@@ -1,7 +1,7 @@
 // EventLoop tests: two in-process loops rendezvous over loopback TCP and
 // exchange protocol frames; a raw socket exercises partial-frame
-// reassembly, the GOODBYE-vs-crash disconnect distinction, and corrupt
-// stream rejection.
+// reassembly, the GOODBYE-vs-crash disconnect distinction, and rejection
+// of corrupt streams and forged control frames.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -448,6 +448,130 @@ TEST(EventLoop, UnknownWireIdIsRejectedNotDelivered) {
   ASSERT_TRUE(sink.wait_down(2000ms));
   EXPECT_EQ(sink.downs[0], 6);
   EXPECT_TRUE(sink.frames.empty());
+  loop.stop();
+}
+
+/// Polls until `loop` records an error (or `timeout` passes).
+bool wait_error(const EventLoop& loop, std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!loop.first_error().has_value() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  return loop.first_error().has_value();
+}
+
+/// A control frame with every header field chosen by the caller, plus
+/// `payload_bytes` trailing zero bytes.
+std::string control_frame(std::uint32_t wire_id, Epoch epoch,
+                          ResourceId resource, NodeId from, NodeId to,
+                          std::size_t payload_bytes = 0) {
+  std::string body;
+  net::WireWriter body_writer(body);
+  body_writer.u32(wire_id);
+  body_writer.u32(epoch);
+  body_writer.i32(resource);
+  body_writer.i32(from);
+  body_writer.i32(to);
+  body.append(payload_bytes, '\0');
+  std::string frame;
+  net::WireWriter frame_writer(frame);
+  frame_writer.u32(static_cast<std::uint32_t>(body.size()));
+  return frame + body;
+}
+
+TEST(EventLoop, ImpostorHelloDoesNotTakeDownTheConnectedPeer) {
+  // Node 4 is connected; a second connection says HELLO as node 4. The
+  // impostor is torn down with an error recorded, and neither its HELLO
+  // nor its close touches the real node 4: no peer-down, still routable,
+  // still delivering.
+  Sink sink;
+  EventLoop loop({.self = 1}, sink.frame_handler(), sink.down_handler());
+  const std::uint16_t port = loop.listen();
+  loop.start();
+
+  RawClient real(port);
+  std::string hello;
+  Codec::encode_control_frame(hello, kHelloWireId, /*from=*/4);
+  real.write_all(hello);
+  ASSERT_TRUE(loop.wait_for_peers(1, 2000ms));
+
+  RawClient impostor(port);
+  impostor.write_all(hello);
+  EXPECT_TRUE(wait_error(loop, 2000ms));
+  impostor.close();
+
+  EXPECT_FALSE(sink.wait_down(300ms));
+  EXPECT_EQ(loop.connected_peers(), 1);
+  EXPECT_TRUE(loop.send(4, 0, 0, core::PrivilegeMessage()));
+  std::string frame;
+  Codec::encode_frame(frame, /*epoch=*/0, /*resource=*/0, /*from=*/4,
+                      /*to=*/1, core::RequestMessage(4, 4));
+  real.write_all(frame);
+  ASSERT_TRUE(sink.wait_frames(1, 2000ms));
+  loop.stop();
+  EXPECT_TRUE(sink.downs.empty());
+}
+
+TEST(EventLoop, NonCanonicalControlFramesAreRejected) {
+  // Each HELLO differs from Codec::encode_control_frame's in one field
+  // (or carries a payload); none may identify the peer.
+  const std::string forged[] = {
+      control_frame(kHelloWireId, /*epoch=*/7, 0, /*from=*/9, kNilNode),
+      control_frame(kHelloWireId, 0, /*resource=*/3, /*from=*/9, kNilNode),
+      control_frame(kHelloWireId, 0, 0, /*from=*/9, /*to=*/1),
+      control_frame(kHelloWireId, 0, 0, /*from=*/9, kNilNode,
+                    /*payload_bytes=*/4),
+  };
+  for (const std::string& bytes : forged) {
+    Sink sink;
+    EventLoop loop({.self = 1}, sink.frame_handler(), sink.down_handler());
+    const std::uint16_t port = loop.listen();
+    loop.start();
+    RawClient client(port);
+    client.write_all(bytes);
+    EXPECT_TRUE(wait_error(loop, 2000ms));
+    EXPECT_FALSE(loop.wait_for_peers(1, 100ms));
+    loop.stop();
+    EXPECT_TRUE(sink.downs.empty());
+  }
+}
+
+TEST(EventLoop, HelloNamingSelfOrANonMemberIsRejected) {
+  for (const NodeId from : {NodeId{1}, NodeId{0}, NodeId{-2}, NodeId{5}}) {
+    Sink sink;
+    EventLoop loop({.self = 1, .mesh_size = 4}, sink.frame_handler(),
+                   sink.down_handler());
+    const std::uint16_t port = loop.listen();
+    loop.start();
+    RawClient client(port);
+    std::string hello;
+    Codec::encode_control_frame(hello, kHelloWireId, from);
+    client.write_all(hello);
+    EXPECT_TRUE(wait_error(loop, 2000ms)) << "HELLO as node " << from;
+    EXPECT_EQ(loop.connected_peers(), 0) << "HELLO as node " << from;
+    loop.stop();
+    EXPECT_TRUE(sink.downs.empty());
+  }
+}
+
+TEST(EventLoop, GoodbyeNamingAnotherNodeIsACrash) {
+  // Node 4 says GOODBYE as node 5: not an orderly departure of node 4,
+  // which is torn down and reported down.
+  Sink sink;
+  EventLoop loop({.self = 1}, sink.frame_handler(), sink.down_handler());
+  const std::uint16_t port = loop.listen();
+  loop.start();
+
+  RawClient client(port);
+  std::string bytes;
+  Codec::encode_control_frame(bytes, kHelloWireId, /*from=*/4);
+  Codec::encode_control_frame(bytes, kGoodbyeWireId, /*from=*/5);
+  client.write_all(bytes);
+
+  ASSERT_TRUE(sink.wait_down(2000ms));
+  EXPECT_EQ(sink.downs[0], 4);
+  EXPECT_TRUE(loop.first_error().has_value());
   loop.stop();
 }
 

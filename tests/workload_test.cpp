@@ -2,38 +2,36 @@
 #include <gtest/gtest.h>
 
 #include "baselines/registry.hpp"
-#include "harness/cluster.hpp"
+#include "support/single_cs.hpp"
 #include "topology/tree.hpp"
 #include "workload/workload.hpp"
 
 namespace dmx::workload {
 namespace {
 
-harness::ClusterConfig star_config(int n) {
-  harness::ClusterConfig config;
-  config.n = n;
-  config.initial_token_holder = 1;
-  config.tree = topology::Tree::star(n, 1);
-  return config;
+using testsupport::kCs;
+
+std::unique_ptr<service::LockSpace> star_space(const char* algorithm, int n) {
+  return testsupport::single_cs(
+      baselines::algorithm_by_name(algorithm),
+      testsupport::cs_config(n, topology::Tree::star(n, 1)));
 }
 
 TEST(Workload, CompletesTargetEntries) {
-  harness::Cluster cluster(baselines::algorithm_by_name("Neilsen"),
-                           star_config(6));
+  const auto space = star_space("Neilsen", 6);
   WorkloadConfig wl;
   wl.target_entries = 100;
   wl.mean_think_ticks = 5.0;
-  const WorkloadResult result = run_workload(cluster, wl);
+  const WorkloadResult result = run_workload(*space, kCs, wl);
   EXPECT_GE(result.entries, 100u);
   EXPECT_GT(result.makespan, 0);
 }
 
 TEST(Workload, MessagesPerEntryConsistent) {
-  harness::Cluster cluster(baselines::algorithm_by_name("Neilsen"),
-                           star_config(6));
+  const auto space = star_space("Neilsen", 6);
   WorkloadConfig wl;
   wl.target_entries = 50;
-  const WorkloadResult result = run_workload(cluster, wl);
+  const WorkloadResult result = run_workload(*space, kCs, wl);
   EXPECT_NEAR(result.messages_per_entry,
               static_cast<double>(result.messages) /
                   static_cast<double>(result.entries),
@@ -41,28 +39,26 @@ TEST(Workload, MessagesPerEntryConsistent) {
 }
 
 TEST(Workload, ParticipantsSubsetOnlyThoseEnter) {
-  harness::Cluster cluster(baselines::algorithm_by_name("Neilsen"),
-                           star_config(6));
+  const auto space = star_space("Neilsen", 6);
   WorkloadConfig wl;
   wl.target_entries = 40;
   wl.participants = {2, 5};
-  run_workload(cluster, wl);
-  for (const auto& event : cluster.events()) {
+  const WorkloadResult result = run_workload(*space, kCs, wl);
+  for (const auto& event : result.events) {
     EXPECT_TRUE(event.node == 2 || event.node == 5);
   }
 }
 
 TEST(Workload, HoldTimesRespected) {
-  harness::Cluster cluster(baselines::algorithm_by_name("Neilsen"),
-                           star_config(4));
+  const auto space = star_space("Neilsen", 4);
   WorkloadConfig wl;
   wl.target_entries = 30;
   wl.hold_lo = 3;
   wl.hold_hi = 9;
-  run_workload(cluster, wl);
+  const WorkloadResult result = run_workload(*space, kCs, wl);
   Tick enter_at = -1;
   NodeId who = kNilNode;
-  for (const auto& event : cluster.events()) {
+  for (const auto& event : result.events) {
     if (event.kind == harness::CsEvent::Kind::kEnter) {
       enter_at = event.at;
       who = event.node;
@@ -82,12 +78,9 @@ TEST(Workload, NonParticipantsStillRelayOnPathTopologies) {
   // bill shows the 5-hop path cost against the star's 1-hop cost for the
   // same two participants.
   const auto run_ends = [](topology::Tree tree) {
-    harness::ClusterConfig config;
-    config.n = 6;
-    config.initial_token_holder = 1;
-    config.tree = std::move(tree);
-    harness::Cluster cluster(baselines::algorithm_by_name("Neilsen"),
-                             std::move(config));
+    const auto space =
+        testsupport::single_cs(baselines::algorithm_by_name("Neilsen"),
+                               testsupport::cs_config(6, std::move(tree)));
     WorkloadConfig wl;
     wl.target_entries = 40;
     wl.participants = {1, 6};
@@ -95,8 +88,8 @@ TEST(Workload, NonParticipantsStillRelayOnPathTopologies) {
     // request is outstanding, so nearly every entry pays the full
     // requester->token->requester path.
     wl.mean_think_ticks = 40.0;
-    const WorkloadResult result = run_workload(cluster, wl);
-    for (const auto& event : cluster.events()) {
+    const WorkloadResult result = run_workload(*space, kCs, wl);
+    for (const auto& event : result.events) {
       EXPECT_TRUE(event.node == 1 || event.node == 6);
     }
     return result;
@@ -118,15 +111,14 @@ TEST(Workload, HoldWindowWidensHoldsWithoutBreakingSyncDelay) {
   // primed, so each hand-off remains exactly one PRIVILEGE hop while the
   // makespan stretches with the (deterministic per seed) longer holds.
   const auto run_with_window = [](Tick lo, Tick hi) {
-    harness::Cluster cluster(baselines::algorithm_by_name("Neilsen"),
-                             star_config(5));
+    const auto space = star_space("Neilsen", 5);
     WorkloadConfig wl;
     wl.target_entries = 80;
     wl.mean_think_ticks = 0.0;
     wl.hold_lo = lo;
     wl.hold_hi = hi;
     wl.seed = 13;
-    return run_workload(cluster, wl);
+    return run_workload(*space, kCs, wl);
   };
   const WorkloadResult fixed = run_with_window(5, 5);
   const WorkloadResult window = run_with_window(5, 13);
@@ -139,21 +131,19 @@ TEST(Workload, HoldWindowWidensHoldsWithoutBreakingSyncDelay) {
 
 TEST(Workload, DeterministicGivenSeed) {
   auto run_once = [] {
-    harness::Cluster cluster(baselines::algorithm_by_name("Suzuki-Kasami"),
-                             star_config(5));
+    const auto space = star_space("Suzuki-Kasami", 5);
     WorkloadConfig wl;
     wl.target_entries = 60;
     wl.mean_think_ticks = 4.0;
     wl.seed = 7;
-    const WorkloadResult result = run_workload(cluster, wl);
+    const WorkloadResult result = run_workload(*space, kCs, wl);
     return std::tuple{result.entries, result.messages, result.makespan};
   };
   EXPECT_EQ(run_once(), run_once());
 }
 
 TEST(Workload, SaturationKeepsPipelineBusy) {
-  harness::Cluster cluster(baselines::algorithm_by_name("Neilsen"),
-                           star_config(5));
+  const auto space = star_space("Neilsen", 5);
   WorkloadConfig wl;
   wl.target_entries = 80;
   wl.mean_think_ticks = 0.0;
@@ -162,7 +152,7 @@ TEST(Workload, SaturationKeepsPipelineBusy) {
   // defines synchronization delay for (successor already blocked).
   wl.hold_lo = 5;
   wl.hold_hi = 5;
-  const WorkloadResult result = run_workload(cluster, wl);
+  const WorkloadResult result = run_workload(*space, kCs, wl);
   // Every hand-off is then exactly one PRIVILEGE hop.
   ASSERT_GT(result.sync_delay_ticks.count(), 0u);
   EXPECT_EQ(result.sync_delay_ticks.mean(), 1.0);
