@@ -32,6 +32,13 @@
 // effects are published to task i+1 (possibly on another thread) through
 // the queue mutex, so strand-confined state is race-free by construction.
 //
+// Inline strands: a strand built with no executor has no pool to hand
+// activations to, so a claimed activation runs at once, to the end of its
+// queue, on the thread that claimed it — post() included, with no
+// trampoline. The deterministic sim runs its gates this way on the
+// simulator thread; a task that posts to its own strand queues behind
+// itself exactly as on the pool.
+//
 // Accounting: exec.strand_activations counts every activation, pool- or
 // caller-run; ExecutorStats::tasks_executed counts pool tasks only.
 //
@@ -80,7 +87,9 @@ class Strand {
   /// from its own tasks' posts before further claims go to the pool.
   static constexpr int kTrampolineBudget = 16;
 
-  explicit Strand(Executor& executor) : executor_(executor) {
+  explicit Strand(Executor& executor) : Strand(&executor) {}
+  /// Null `executor` builds an inline strand (see the header).
+  explicit Strand(Executor* executor) : executor_(executor) {
     pool_task_.run = &Strand::run_activation;
     pool_task_.context = this;
   }
@@ -95,6 +104,10 @@ class Strand {
   /// there and has budget left, otherwise on the pool.
   void post(Task task) {
     if (!enqueue(std::move(task))) return;
+    if (executor_ == nullptr) {
+      run();
+      return;
+    }
     Trampoline& t = trampoline_;
     if (t.open && t.tail < kTrampolineBudget) {
       t.fifo[t.tail++] = this;
@@ -121,6 +134,10 @@ class Strand {
   /// posts claimed on this thread (and theirs, within the budget). The
   /// caller must hold no lock a task may take; tasks must not call it.
   void run_claimed() {
+    if (executor_ == nullptr) {
+      run();
+      return;
+    }
     Trampoline& t = trampoline_;
     t.open = true;
     t.head = t.tail = 0;
@@ -129,8 +146,15 @@ class Strand {
     t.open = false;
   }
 
-  /// Hands a claimed activation to the pool instead.
-  void submit_claimed() { executor_.submit(&pool_task_); }
+  /// Hands a claimed activation to the pool instead (an inline strand
+  /// runs it here).
+  void submit_claimed() {
+    if (executor_ == nullptr) {
+      run();
+      return;
+    }
+    executor_->submit(&pool_task_);
+  }
 
   /// Tasks executed over the strand's lifetime (test introspection; only
   /// meaningful once the strand is quiescent).
@@ -162,7 +186,8 @@ class Strand {
           active_ = false;
           break;
         }
-        if (drained >= kBatch) {  // stay active, yield the thread
+        if (drained >= kBatch && executor_ != nullptr) {
+          // Stay active, yield the thread.
           requeue = true;
           break;
         }
@@ -178,10 +203,10 @@ class Strand {
       telemetry::observe(detail::strand_batch_hist(),
                          static_cast<std::uint64_t>(drained));
     }
-    if (requeue) executor_.submit_fair(&pool_task_);
+    if (requeue) executor_->submit_fair(&pool_task_);
   }
 
-  Executor& executor_;
+  Executor* const executor_;  // null: inline
   PoolTask pool_task_;
   std::mutex mutex_;
   Ring<Task> queue_;

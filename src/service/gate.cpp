@@ -1,5 +1,6 @@
 #include "service/gate.hpp"
 
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -50,7 +51,8 @@ Gate::Gate(GateSet& set, GateHost& host, GateResource& resource,
            ResourceId id, NodeId self, std::uint64_t seed,
            std::unique_ptr<proto::MutexNode> node)
     : set_(set), host_(host), res_(resource), resource_(id), self_(self),
-      strand_(set.executor_), node_(std::move(node)), rng_(seed),
+      strand_(set.executor_ ? &*set.executor_ : nullptr),
+      node_(std::move(node)), rng_(seed),
       context_(*this) {}
 
 bool Gate::fenced(Epoch tag) const { return tag != epoch_; }
@@ -104,8 +106,7 @@ void Gate::rerequest(Epoch tag) {
   {
     // Waiters still parked, or a request posted and fenced: ask again.
     std::lock_guard<std::mutex> guard(client_mutex_);
-    want = requested_ || waiting_ > 0;
-    requested_ = want;
+    want = core_.rerequest();
   }
   if (want) request_now();
 }
@@ -124,24 +125,50 @@ void Gate::on_grant() {
   bool hand_off = false;
   {
     std::lock_guard<std::mutex> guard(client_mutex_);
-    if (waiting_ > 0) {
-      granted_ = true;
-      granted_epoch_ = epoch_;
-      grant_via_chain_ = false;
-      hand_off = true;
-      if (parked_ > 0) tl_woke_parked = true;
-    } else {
-      // Nobody will consume this grant: every waiter timed out or gave
-      // up. Hand the CS straight back so the resource keeps flowing.
-      requested_ = false;
-    }
+    hand_off = core_.grant(epoch_);
+    if (hand_off && parked_ > 0) tl_woke_parked = true;
   }
   if (hand_off) {
-    client_cv_.notify_all();
+    if (set_.sink_ != nullptr) {
+      enter_inline();
+    } else {
+      client_cv_.notify_all();
+    }
     return;
   }
+  // Nobody will consume this grant: every waiter timed out or gave up.
+  // Hand the CS straight back so the resource keeps flowing.
   const Epoch tag = epoch_;  // on_grant runs on the strand
   strand_.post([this, tag] { release(tag); });
+}
+
+void Gate::enter_inline() {
+  {
+    std::lock_guard<std::mutex> guard(client_mutex_);
+    // Sim time is not wall time: the inline shell's lease has no hold
+    // window, so the core needs no clock.
+    if (!core_.consume(fence.load(std::memory_order_acquire), 0)) return;
+    res_.occupancy.fetch_add(1);
+  }
+  res_.entries.fetch_add(1, std::memory_order_relaxed);
+  set_.sink_->entered(resource_, self_);
+}
+
+void Gate::acquire_inline() {
+  bool claimed = false;
+  {
+    std::lock_guard<std::mutex> guard(client_mutex_);
+    if (core_.arrive().request) {
+      const Epoch tag = fence.load(std::memory_order_acquire);
+      claimed = strand_.enqueue([this, tag] { request(tag); });
+    }
+  }
+  if (claimed) strand_.run_claimed();
+}
+
+void Gate::drop_waiters() {
+  std::lock_guard<std::mutex> guard(client_mutex_);
+  core_.leave_all();
 }
 
 void Gate::publish_remote_pending() {
@@ -193,25 +220,15 @@ LockError Gate::lock(const std::chrono::milliseconds* timeout) {
   int prev_occupancy = 0;
   {
     std::unique_lock<std::mutex> guard(client_mutex_);
-    ++waiting_;
-    // Arrival-order ticket: grants are consumed strictly in ticket order,
-    // so a later waiter can never overtake an earlier one through a lucky
-    // condvar wake.
-    const std::uint64_t ticket = ticket_seq_++;
-    fifo_.push(ticket);
+    const AcquireCore::Arrival arrival = core_.arrive();
+    const std::uint64_t ticket = arrival.ticket;
     // No grant is coming: the space failed, or the resource is dead at
     // this node.
     const auto doomed = [this] {
       return set_.failed.load(std::memory_order_relaxed) ||
              unavailable.load(std::memory_order_relaxed);
     };
-    // One protocol request at a time: the first local waiter requests;
-    // later waiters ride local hand-off (unlock enqueues the next request
-    // once the holder leaves). A pending grant counts as held: the
-    // protocol is still inside its critical section, so a request now
-    // would only be discarded by the strand.
-    if (!requested_ && !held_ && !granted_) {
-      requested_ = true;
+    if (arrival.request) {
       const Epoch tag = fence.load(std::memory_order_acquire);
       if (strand_.enqueue([this, tag] { request(tag); })) {
         if (doomed()) {
@@ -232,7 +249,7 @@ LockError Gate::lock(const std::chrono::milliseconds* timeout) {
       }
     }
     const auto ready = [this, ticket, &doomed] {
-      return (granted_ && fifo_.front() == ticket) || doomed();
+      return core_.ready(ticket) || doomed();
     };
     // One condvar sleep, counted in parked_ so a waker can tell that it
     // woke a sleeping thread; false once the deadline has passed.
@@ -266,8 +283,7 @@ LockError Gate::lock(const std::chrono::milliseconds* timeout) {
       if (!signalled) {
         // Deadline passed. The request stays posted; a grant arriving
         // with nobody waiting is handed straight back by on_grant.
-        --waiting_;
-        fifo_.erase(ticket);
+        core_.leave(ticket);
         guard.unlock();
         // The waiter behind us is the new front; a pending grant it was
         // fenced off may now be its to consume.
@@ -277,42 +293,23 @@ LockError Gate::lock(const std::chrono::milliseconds* timeout) {
                                           resource_, self_);
         return LockError::kTimeout;
       }
-      if (granted_ && fifo_.front() == ticket) {
-        // Revalidate against the current epoch: a repair may have fenced
-        // the world this grant came from, in which case the regenerated
-        // token supersedes it and entering would break exclusion. The
-        // repair's re-request covers us; keep waiting.
-        if (granted_epoch_ != fence.load(std::memory_order_acquire)) {
-          granted_ = false;
-          continue;
-        }
-        granted_ = false;
-        requested_ = false;
-        --waiting_;
-        fifo_.pop();
-        held_ = true;
-        held_epoch_ = granted_epoch_;
-        // Exclusivity witness, counted under the client mutex so that an
-        // abandon() racing this entry retires only what it counted.
-        prev_occupancy = res_.occupancy.fetch_add(1);
+      if (core_.ready(ticket)) {
         // One clock read serves three consumers: the hold-time stamp, the
         // wait histogram, and the grant flight event.
         grant_ns = telemetry::now_ns();
-        hold_started_ns_ = grant_ns;
-        if (grant_via_chain_) {
-          grant_via_chain_ = false;  // window stays open, length counted
-        } else {
-          chain_len_ = 0;  // fresh protocol grant opens a fresh window
-          chain_started_ns_ = grant_ns;
+        // A grant from a world a repair has since fenced is discarded;
+        // the repair's re-request covers us, so keep waiting.
+        if (!core_.consume(fence.load(std::memory_order_acquire), grant_ns)) {
+          continue;
         }
+        // Exclusivity witness, counted under the client mutex so that an
+        // abandon() racing this entry retires only what it counted.
+        prev_occupancy = res_.occupancy.fetch_add(1);
         break;
       }
       const bool dead = unavailable.load(std::memory_order_relaxed);
       const bool failed = set_.failed.load(std::memory_order_relaxed);
-      if (dead || failed) {
-        --waiting_;
-        fifo_.erase(ticket);
-      }
+      if (dead || failed) core_.leave(ticket);
       if (dead) {
         telemetry::count(res_.unavailable_count);
         telemetry::FlightRecorder::record(telemetry::FlightEvent::kUnavailable,
@@ -350,86 +347,56 @@ LockError Gate::lock(const std::chrono::milliseconds* timeout) {
 }
 
 bool Gate::unlock() {
+  // The inline shell runs in sim time: no wall clock, no telemetry.
+  const bool inline_shell = set_.sink_ != nullptr;
   // One clock read ahead of the mutex serves the lease-window check, the
   // hold histogram, and the release/chain flight event.
-  const std::uint64_t release_ns = telemetry::now_ns();
-  std::uint64_t hold_started_ns = 0;
-  bool chained = false;
-  int chain_arg = 0;
-  int ended_chain = 0;  // lease window closed at this length (0 = none)
-  bool yielded_with_waiters = false;
+  const std::uint64_t release_ns = inline_shell ? 0 : telemetry::now_ns();
+  AcquireCore::Release out;
   bool claimed = false;  // this thread owns the strand's activation
   bool woke_parked = false;  // a hand-off woke a thread asleep in lock()
   {
     std::lock_guard<std::mutex> guard(client_mutex_);
-    if (!held_) {
-      // The node died in its CS and abandon() revoked the hold; the
-      // zombie's unlock is a ghost, not an error.
-      if (abandoned_) return false;
-      DMX_CHECK_MSG(false, "unlock of resource " << res_.name << " on node "
-                                                 << self_
-                                                 << " which does not hold it");
-    }
-    held_ = false;
-    hold_started_ns = hold_started_ns_;
-    hold_started_ns_ = 0;
+    // Read here: if a repair fenced this world while we held, the release
+    // is minted in the NEW epoch and drops itself, and nothing chains.
+    const Epoch tag = fence.load(std::memory_order_acquire);
+    out = core_.release(
+        release_ns, tag,
+        set_.failed.load(std::memory_order_relaxed) ||
+            unavailable.load(std::memory_order_relaxed),
+        set_.lease_, res_.algorithm.holder_sees_remote_requests,
+        remote_pending_.load(std::memory_order_relaxed));
+    // The node died in its CS and abandon() revoked the hold; the
+    // zombie's unlock is a ghost, not an error.
+    if (out.kind == AcquireCore::Release::Kind::kGhost) return false;
+    DMX_CHECK_MSG(out.kind != AcquireCore::Release::Kind::kNotHeld,
+                  "unlock of resource " << res_.name << " on node " << self_
+                                        << " which does not hold it");
     // The witness retires only after the held-check passed (a bogus unlock
     // must not drive the counter negative), yet before the release reaches
     // the protocol — after that the next grant may already increment it.
     res_.occupancy.fetch_sub(1);
-    // Re-read here: if a repair fenced this world while we held, the
-    // release is minted in the NEW epoch and drops itself.
-    const Epoch tag = fence.load(std::memory_order_acquire);
-    // Local grant chaining: with waiters parked on this node and the
-    // lease not exhausted, hand the CS straight to the next one — one
-    // condvar wake, zero protocol messages. Never across a fault: a
-    // repair fences the holder's world (tag != held_epoch_) before it can
-    // defer on this holder, and a chained grant minted just before the
-    // fence fails revalidation.
-    if (waiting_ > 0 && tag == held_epoch_ &&
-        !set_.failed.load(std::memory_order_relaxed) &&
-        !unavailable.load(std::memory_order_relaxed)) {
-      const LeaseConfig& lease = set_.lease_;
-      int chain = chain_len_;
-      const bool window_ok = lease.max_hold_ns == 0 ||
-                             release_ns - chain_started_ns_ < lease.max_hold_ns;
-      bool hand_off = window_ok && lease_chain_allowed(lease, chain);
-      if (!hand_off && lease.max_chain != 0 &&
-          lease_renewable(lease, res_.algorithm.holder_sees_remote_requests,
-                          remote_pending_.load(std::memory_order_relaxed))) {
-        // Lease expired but the protocol instance can see that no remote
-        // request is pending: renew in place instead of a pointless
-        // release/re-request round. Blind algorithms (Maekawa, Central
-        // clients) never take this branch, keeping the cap unconditional
-        // where remote demand is invisible.
-        ended_chain = chain;
-        chain = 0;
-        chain_started_ns_ = release_ns;
-        hand_off = true;
-      }
-      if (hand_off) {
-        chain_len_ = chain + 1;
-        chain_arg = chain_len_;
-        granted_ = true;
-        granted_epoch_ = held_epoch_;
-        grant_via_chain_ = true;
-        chained = true;
-        woke_parked = parked_ > 0;
-      }
-    }
-    if (!chained) {
-      ended_chain = chain_len_;
-      chain_len_ = 0;
-      yielded_with_waiters = waiting_ > 0;
+    if (out.kind == AcquireCore::Release::Kind::kChained) {
+      woke_parked = parked_ > 0;
+    } else {
       // Strand FIFO orders the release ahead of the follow-up request,
       // and enqueueing under the client mutex keeps a racing lock() on
       // another thread from slipping its request in between.
       if (strand_.enqueue([this, tag] { release(tag); })) claimed = true;
-      if (waiting_ > 0 && !requested_) {
-        requested_ = true;
-        if (strand_.enqueue([this, tag] { request(tag); })) claimed = true;
+      if (out.request && strand_.enqueue([this, tag] { request(tag); })) {
+        claimed = true;
       }
     }
+  }
+  const bool chained = out.kind == AcquireCore::Release::Kind::kChained;
+  if (chained) set_.chained_grants_.fetch_add(1, std::memory_order_relaxed);
+  if (out.yielded_with_waiters) {
+    set_.lease_yields_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (inline_shell) {
+    if (claimed) strand_.run_claimed();
+    if (chained) enter_inline();
+    return !chained;
   }
   // The strand was idle: release here, off the client mutex, instead of a
   // pool hop. The trampoline may carry the PRIVILEGE on to an idle
@@ -440,20 +407,19 @@ bool Gate::unlock() {
     woke_parked = tl_woke_parked;
   }
   // Telemetry off the client mutex.
-  if (hold_started_ns != 0 &&
+  if (out.hold_started_ns != 0 &&
       telemetry::sample_1_in_8<telemetry::SampleSite::kClientHold>()) {
-    telemetry::observe(set_.hold_hist_, release_ns - hold_started_ns);
+    telemetry::observe(set_.hold_hist_, release_ns - out.hold_started_ns);
   }
-  if (ended_chain > 0) {
+  if (out.ended_chain > 0) {
     telemetry::observe(set_.chain_hist_,
-                       static_cast<std::uint64_t>(ended_chain));
+                       static_cast<std::uint64_t>(out.ended_chain));
   }
   if (chained) {
     client_cv_.notify_all();
-    set_.chained_grants_.fetch_add(1, std::memory_order_relaxed);
     telemetry::FlightRecorder::record_at(
         release_ns, telemetry::FlightEvent::kChainGrant, resource_, self_,
-        chain_arg);
+        out.chain_len);
     if (woke_parked) handoff_yield();
     // No protocol release happened, so no repair deferred on this holder
     // can complete here: such a repair fenced the epoch first, which
@@ -462,11 +428,10 @@ bool Gate::unlock() {
   }
   telemetry::FlightRecorder::record_at(
       release_ns, telemetry::FlightEvent::kRelease, resource_, self_);
-  if (yielded_with_waiters) {
-    set_.lease_yields_.fetch_add(1, std::memory_order_relaxed);
+  if (out.yielded_with_waiters) {
     telemetry::FlightRecorder::record_at(
         release_ns, telemetry::FlightEvent::kLeaseYield, resource_, self_,
-        ended_chain);
+        out.ended_chain);
   }
   if (woke_parked) handoff_yield();
   return true;
@@ -479,12 +444,12 @@ void Gate::handoff_yield() {
 
 bool Gate::holding() {
   std::lock_guard<std::mutex> guard(client_mutex_);
-  return held_;
+  return core_.holding();
 }
 
 int Gate::local_waiters() {
   std::lock_guard<std::mutex> guard(client_mutex_);
-  return waiting_;
+  return core_.waiters();
 }
 
 void Gate::wake() {
@@ -506,13 +471,7 @@ void Gate::abandon() {
   bool was_held = false;
   {
     std::lock_guard<std::mutex> guard(client_mutex_);
-    abandoned_ = true;
-    was_held = held_;
-    held_ = false;
-    granted_ = false;
-    requested_ = false;
-    chain_len_ = 0;
-    grant_via_chain_ = false;
+    was_held = core_.abandon();
   }
   // The node died inside its CS: the occupancy witness retires with it
   // (the repair will re-mint the token among the survivors).
@@ -524,7 +483,16 @@ void Gate::abandon() {
 
 GateSet::GateSet(int n, LeaseConfig lease, unsigned jitter_us,
                  exec::ExecutorConfig executor)
-    : n_(n), lease_(lease), jitter_us_(jitter_us), executor_(executor) {
+    : GateSet(n, lease, jitter_us, nullptr) {
+  executor_.emplace(executor);
+}
+
+GateSet::GateSet(int n, LeaseConfig lease, GrantSink& sink)
+    : GateSet(n, lease, /*jitter_us=*/0, &sink) {}
+
+GateSet::GateSet(int n, LeaseConfig lease, unsigned jitter_us,
+                 GrantSink* sink)
+    : n_(n), lease_(lease), jitter_us_(jitter_us), sink_(sink) {
   auto& registry = telemetry::Registry::global();
   hold_hist_ = registry.histogram("client.hold_ns");
   chain_hist_ = registry.histogram("client.chain_len");
@@ -540,12 +508,14 @@ GateResource& GateSet::add_resource(const std::string& name,
   res->algorithm = algorithm;
   res->home = proto::initial_holder(algorithm, home);
   // Resolved here in cold code; the lock/unlock hot paths then record
-  // through plain ids.
-  auto& registry = telemetry::Registry::global();
-  res->wait_ns = registry.histogram("client.wait_ns." + name);
-  res->ok = registry.counter("client.ok." + name);
-  res->timeouts = registry.counter("client.timeout." + name);
-  res->unavailable_count = registry.counter("client.unavailable." + name);
+  // through plain ids. The inline shell records none of them.
+  if (sink_ == nullptr) {
+    auto& registry = telemetry::Registry::global();
+    res->wait_ns = registry.histogram("client.wait_ns." + name);
+    res->ok = registry.counter("client.ok." + name);
+    res->timeouts = registry.counter("client.timeout." + name);
+    res->unavailable_count = registry.counter("client.unavailable." + name);
+  }
   for (const std::string& kind : algorithm.token_message_kinds) {
     res->token_kinds.push_back(net::MessageKind::of(kind));
   }
@@ -570,6 +540,7 @@ std::uint64_t GateSet::total_entries() const {
 }
 
 void GateSet::record_error(const std::string& what) {
+  if (sink_ != nullptr) throw std::logic_error(what);
   std::lock_guard<std::mutex> guard(error_mutex_);
   if (!first_error_.has_value()) first_error_ = what;
 }
@@ -587,7 +558,7 @@ std::optional<std::string> GateSet::first_error() const {
 
 telemetry::MetricsSnapshot GateSet::snapshot() const {
   telemetry::MetricsSnapshot snap = telemetry::Registry::global().snapshot();
-  const exec::ExecutorStats stats = executor_.stats();
+  const exec::ExecutorStats stats = executor_->stats();
   snap.set_counter("exec.tasks_executed", stats.tasks_executed);
   snap.set_counter("exec.steals", stats.steals);
   snap.set_counter("exec.parks", stats.parks);

@@ -4,13 +4,16 @@
 //
 // Neilsen–Mizuno lets a node have at most one request in flight, and a
 // node that already holds the token enters at once. The gate keeps both
-// promises for any number of application threads: the first local waiter
-// requests, later ones queue behind it in arrival (ticket) order, and a
-// release that finds co-located waiters may hand the critical section
-// straight to the next one under a bounded lease (service/lease.hpp)
-// instead of a protocol round. A service::NodeRuntime owns one gate per
-// resource for its node: the TCP DistributedLockSpace runs one runtime
-// per process, ThreadedLockSpace runs one runtime per node in process.
+// promises for any number of clients through its acquire core
+// (service/acquire_core.hpp: ticket FIFO, grant revalidation, lease
+// chaining, the abandon rule). Around the core the gate is a thin shell,
+// one of two: lock()/unlock() park application threads on a condvar; a
+// set built with a GrantSink (the deterministic sim) has no threads, so
+// acquire_inline() queues a waiter and every grant ready for the front
+// waiter is consumed on the spot and reported to the sink. A
+// service::NodeRuntime owns one gate per resource for its node: the TCP
+// DistributedLockSpace runs one runtime per process, ThreadedLockSpace
+// and the sim LockSpace run one runtime per node in process.
 // Every gate of a resource shares its GateResource (name, algorithm,
 // interned metric ids and the occupancy witness); what is per node — the
 // fence epoch and the unavailable flag — lives on the gate, because each
@@ -57,6 +60,12 @@
 // spread's acquires parked. client.parked_waits counts acquires that
 // slept at least once; client.handoff_yields counts the yields.
 //
+// Inline shell: the gates' strands are inline (exec/strand.hpp), so a
+// request, delivery or release runs to completion inside the call that
+// posts it, on the simulator thread. A handler's failure is rethrown to
+// that caller instead of parking it in first_error(): the sim reports
+// violations as exceptions.
+//
 // Lock order: a runtime's repair mutex before any gate's client mutex,
 // never the reverse.
 #pragma once
@@ -74,13 +83,13 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "exec/executor.hpp"
-#include "exec/ring.hpp"
 #include "exec/strand.hpp"
 #include "fault/membership.hpp"
 #include "net/message.hpp"
 #include "net/message_kind.hpp"
 #include "proto/algorithm.hpp"
 #include "proto/mutex_node.hpp"
+#include "service/acquire_core.hpp"
 #include "service/lease.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -133,6 +142,16 @@ struct GateResource {
   std::vector<net::MessageKind> token_kinds;
 };
 
+/// The inline shell's consumer: a grant consumed on the spot for node
+/// `v`'s front waiter on resource `r`.
+class GrantSink {
+ public:
+  virtual void entered(ResourceId r, NodeId v) = 0;
+
+ protected:
+  ~GrantSink() = default;
+};
+
 class GateSet;
 
 /// One (resource, node) state machine with its strand and client gate.
@@ -155,6 +174,13 @@ class Gate {
   /// deferred on this holder). After abandon(), a ghost unlock by the
   /// holder it revoked returns false.
   bool unlock();
+  /// Inline shell: queues a waiter behind this node's one request and
+  /// runs that request now. Its grant reaches the sink, possibly before
+  /// this returns.
+  void acquire_inline();
+  /// Inline shell: drops every queued waiter (a crashed node's tickets
+  /// never grant).
+  void drop_waiters();
 
   /// Posts a message delivery from `from` (original id), fenced by `tag`.
   void post_deliver(Epoch tag, NodeId from, net::MessagePtr message);
@@ -188,6 +214,12 @@ class Gate {
   std::atomic<bool> unavailable{false};
   std::atomic<std::uint64_t> unavailable_since_ns{0};
 
+  // Strand-confined state, for the single-threaded sim's checker.
+  /// World this strand's protocol instance belongs to.
+  Epoch world() const { return epoch_; }
+  proto::MutexNode& protocol() { return *node_; }
+  proto::Context& context() { return context_; }
+
  private:
   /// proto::Context for this state machine; used only from strand tasks.
   /// Post-repair the instance lives in the compact survivor world:
@@ -213,6 +245,8 @@ class Gate {
   /// Issues the protocol request; rerequest shares it with request.
   void request_now();
   void on_grant();
+  /// Inline shell: consumes the pending grant for the front waiter.
+  void enter_inline();
   /// Publishes node_->has_remote_request() at the end of every protocol
   /// task, so a holder's release can consult it without touching
   /// strand-confined state. It may lag by an in-flight message: the lease
@@ -243,41 +277,12 @@ class Gate {
   bool request_outstanding_ = false;
   Context context_;
 
-  // Client side; client_mutex_ guards every field below except the
-  // trailing atomic.
+  // Client side; client_mutex_ guards the core and parked_.
   std::mutex client_mutex_;
   std::condition_variable client_cv_;
-  int waiting_ = 0;
-  /// Waiters asleep on client_cv_ right now (a subset of waiting_).
+  AcquireCore core_;
+  /// Waiters asleep on client_cv_ right now (a subset of the core's).
   int parked_ = 0;
-  bool requested_ = false;
-  /// A grant (protocol or chained) is pending, minted in granted_epoch_.
-  /// A consumer revalidates that epoch against the fence, so a grant
-  /// from a world a repair has since fenced is discarded instead of
-  /// entering alongside the regenerated token.
-  bool granted_ = false;
-  Epoch granted_epoch_ = 0;
-  /// Whether the pending grant rode the local chain (keeps the lease
-  /// window open) or came from the protocol (opens a fresh window).
-  bool grant_via_chain_ = false;
-  /// Arrival-order tickets of the parked waiters: a grant is consumed only
-  /// by the waiter whose ticket is at the front, so same-node waiters
-  /// cannot overtake each other.
-  exec::Ring<std::uint64_t> fifo_;
-  std::uint64_t ticket_seq_ = 0;
-  bool held_ = false;
-  /// Epoch the holder's grant was minted in; a release chains only while
-  /// it still matches the fence (no repair since).
-  Epoch held_epoch_ = 0;
-  /// abandon() revoked this gate's client state: a later unlock without a
-  /// hold is the dead holder's ghost, not a caller bug.
-  bool abandoned_ = false;
-  /// telemetry::now_ns() when the holder entered (0 = not held).
-  std::uint64_t hold_started_ns_ = 0;
-  /// Consecutive local hand-offs in the current lease window, and when
-  /// the window opened (its first grant).
-  int chain_len_ = 0;
-  std::uint64_t chain_started_ns_ = 0;
   /// has_remote_request() as of the strand's last protocol task.
   std::atomic<bool> remote_pending_{false};
 };
@@ -290,6 +295,10 @@ class GateSet {
   /// `n` is the cluster size of the initial world.
   GateSet(int n, LeaseConfig lease, unsigned jitter_us,
           exec::ExecutorConfig executor);
+  /// The inline shell's set: no pool and no thread; strands run inline and
+  /// every grant is consumed on the spot and reported to `sink`. Resources
+  /// intern no per-resource metrics (sim time is not wall time).
+  GateSet(int n, LeaseConfig lease, GrantSink& sink);
   /// Stops the pool before the gates go away: workers finish their
   /// current task and queued strand tasks are destroyed unrun (captured
   /// messages free cross-thread through the pool's owner-return path).
@@ -316,18 +325,22 @@ class GateSet {
   }
   /// Gates in registration order.
   Gate& gate(std::size_t index) { return *gates_[index]; }
-  exec::Executor& executor() { return executor_; }
-  const exec::Executor& executor() const { return executor_; }
+  /// The pool; a set without one (the inline shell) must not ask.
+  exec::Executor& executor() { return *executor_; }
+  const exec::Executor& executor() const { return *executor_; }
   std::uint64_t total_entries() const;
 
   void record_error(const std::string& what);
   /// Records the error, then releases every parked application thread:
-  /// no grant is ever coming once a protocol handler has thrown.
+  /// no grant is ever coming once a protocol handler has thrown. The
+  /// inline shell throws it to the caller instead (as record_error does).
   void fail(const std::string& what);
   std::optional<std::string> first_error() const;
   /// Stops the pool (idempotent); queued strand tasks die unrun with the
   /// gates.
-  void shutdown() { executor_.shutdown(); }
+  void shutdown() {
+    if (executor_) executor_->shutdown();
+  }
 
   /// Every telemetry metric of the process, with the pool counters
   /// (exec.*), the lease and wake-up counters (client.*) and the
@@ -353,10 +366,14 @@ class GateSet {
  private:
   friend class Gate;
 
+  GateSet(int n, LeaseConfig lease, unsigned jitter_us, GrantSink* sink);
+
   const int n_;
   const LeaseConfig lease_;
   const unsigned jitter_us_;
-  exec::Executor executor_;
+  /// The inline shell's consumer; null for the condvar shell.
+  GrantSink* const sink_ = nullptr;
+  std::optional<exec::Executor> executor_;
   std::vector<std::unique_ptr<GateResource>> resources_;
   std::vector<std::unique_ptr<Gate>> gates_;
   std::atomic<std::uint64_t> chained_grants_{0};
