@@ -193,7 +193,15 @@ class Strand {
         }
         task = queue_.pop();
       }
-      task();
+      try {
+        task();
+      } catch (...) {
+        // The caller sees the failure (an inline strand's handler threw);
+        // the strand stays usable for the tasks still queued.
+        std::lock_guard<std::mutex> guard(mutex_);
+        active_ = false;
+        throw;
+      }
       ++executed_;
       ++drained;
     }

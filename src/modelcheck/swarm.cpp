@@ -184,7 +184,6 @@ SwarmResult run_swarm(const SwarmConfig& config) {
   space_config.fault_plan = config.fault_plan;
   space_config.recovery_enabled = config.crash_recovery_enabled;
   space_config.detect_after = config.detect_after;
-  space_config.queue_local = config.queue_local;
   space_config.lease = config.lease;
 
   SwarmResult result;

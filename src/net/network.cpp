@@ -183,7 +183,7 @@ void Network::deliver(std::uint32_t slot_index) {
   }
   // Epoch fence: an envelope from a pre-repair world never reaches a
   // handler. This is where a lost-then-found stale token dies.
-  if (env.epoch != resource_epoch(env.resource)) {
+  if (env.epoch < resource_epoch(env.resource)) {
     discard(std::move(env), DiscardReason::kStaleEpoch);
     return;
   }

@@ -88,7 +88,9 @@ class NetworkObserver {
 class Network {
  public:
   /// Delivery callback: invoked in virtual time when a message arrives.
-  using DeliveryHandler = std::function<void(const Envelope&)>;
+  /// The handler may take the envelope's message; the envelope is
+  /// discarded after it returns.
+  using DeliveryHandler = std::function<void(Envelope&)>;
 
   /// `n` nodes are numbered 1..n. The latency model must outlive sampling
   /// (owned here). `seed` drives latency sampling only.

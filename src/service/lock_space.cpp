@@ -1,61 +1,49 @@
 #include "service/lock_space.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.hpp"
 #include "proto/world.hpp"
-#include "quorum/election.hpp"
 
 namespace dmx::service {
 
-/// The protocol's window to the world for one (resource, node) pair: sends
-/// are tagged with the resource so the shared network can demultiplex.
-///
-/// After a crash repair the protocol instances live in the compact
-/// survivor world (ids 1..k), while the network and the application keep
-/// original ids. This context is the translation boundary: self() and
-/// send() targets are compact ranks, converted through the epoch's
-/// membership at the wire. At epoch 0 membership is null and ranks equal
-/// original ids, so the no-fault path pays nothing.
-class LockSpace::ResourceContext final : public proto::Context {
+/// Node v's end of the simulated network, and its runtime: frames go onto
+/// the shared net::Network stamped with their resource and world epoch.
+/// A dead node sends nothing.
+class LockSpace::SimTransport final : public Transport {
  public:
-  ResourceContext(LockSpace& space, ResourceId resource, NodeId self)
-      : space_(space), resource_(resource), original_(self), rank_(self) {}
+  SimTransport(LockSpace& space, NodeId self)
+      : runtime(space.gates_, *this, self, space.config_.recovery_enabled),
+        space_(space), self_(self) {}
 
-  NodeId self() const override { return rank_; }
-  int cluster_size() const override {
-    return membership_ ? membership_->size() : space_.nodes();
-  }
-  void send(NodeId to, net::MessagePtr message) override {
-    const NodeId to_original = membership_ ? membership_->original_of(to) : to;
-    space_.network_->send(resource_, original_, to_original,
-                          std::move(message), epoch_);
-  }
-  void grant() override { space_.on_grant(resource_, original_); }
-
-  /// Moves this context into a repaired epoch's compact world.
-  void rebind(std::shared_ptr<const fault::Membership> membership,
-              Epoch epoch) {
-    rank_ = membership->rank_of(original_);
-    membership_ = std::move(membership);
-    epoch_ = epoch;
+  void send_frame(NodeId to, Epoch epoch, ResourceId resource,
+                  net::MessagePtr message) override {
+    if (!space_.node_up_[static_cast<std::size_t>(self_)]) return;
+    space_.network_->send(resource, self_, to, std::move(message), epoch);
   }
 
-  const fault::Membership* membership() const { return membership_.get(); }
+  NodeRuntime runtime;
 
  private:
   LockSpace& space_;
-  ResourceId resource_;
-  NodeId original_;
-  NodeId rank_;
-  Epoch epoch_ = 0;
-  std::shared_ptr<const fault::Membership> membership_;
+  const NodeId self_;
 };
+
+namespace {
+
+LeaseConfig sim_lease(LeaseConfig lease) {
+  lease.max_hold_ns = 0;  // virtual ticks are not nanoseconds
+  return lease;
+}
+
+}  // namespace
 
 LockSpace::LockSpace(LockSpaceConfig config)
     : config_(std::move(config)),
       directory_(config_.n, config_.directory_vnodes, config_.seed),
-      sim_(config_.wheel_span) {
+      sim_(config_.wheel_span),
+      gates_(config_.n, sim_lease(config_.lease), *this) {
   DMX_CHECK(config_.n >= 1);
   std::unique_ptr<net::LatencyModel> latency =
       config_.latency_model
@@ -63,15 +51,17 @@ LockSpace::LockSpace(LockSpaceConfig config)
           : std::make_unique<net::FixedLatency>(config_.fixed_latency);
   network_ = std::make_unique<net::Network>(sim_, config_.n,
                                             std::move(latency), config_.seed);
-  network_->set_delivery_handler(
-      [this](const net::Envelope& env) { deliver(env); });
-  node_up_.assign(static_cast<std::size_t>(config_.n) + 1, 1);
-  rejoin_pending_.assign(static_cast<std::size_t>(config_.n) + 1, 0);
-  identity_ = fault::Membership::identity(config_.n);
+  network_->set_delivery_handler([this](net::Envelope& env) { deliver(env); });
   network_->set_discard_handler(
       [this](const net::Envelope& env, net::Network::DiscardReason reason) {
         on_discard(env, reason);
       });
+  node_up_.assign(static_cast<std::size_t>(config_.n) + 1, 1);
+  identity_ = fault::Membership::identity(config_.n);
+  nodes_.reserve(static_cast<std::size_t>(config_.n));
+  for (NodeId v = 1; v <= config_.n; ++v) {
+    nodes_.push_back(std::make_unique<SimTransport>(*this, v));
+  }
   if (!config_.fault_plan.empty()) {
     const std::string problem = config_.fault_plan.validate(config_.n);
     DMX_CHECK_MSG(problem.empty(), "bad fault plan: " << problem);
@@ -92,13 +82,12 @@ ResourceId LockSpace::open(std::string_view name,
                            const proto::Algorithm& algorithm, NodeId home) {
   const ResourceId existing = directory_.lookup(name);
   if (existing != kNilResource) {
-    const Resource& res = resource(existing);
-    DMX_CHECK_MSG(res.algorithm.name == algorithm.name,
+    DMX_CHECK_MSG(this->algorithm(existing).name == algorithm.name,
                   "resource " << name << " already open with algorithm "
-                              << res.algorithm.name);
-    DMX_CHECK_MSG(home == kNilNode || home == res.home,
+                              << this->algorithm(existing).name);
+    DMX_CHECK_MSG(home == kNilNode || home == home_node(existing),
                   "resource " << name << " already open with home "
-                              << res.home);
+                              << home_node(existing));
     return existing;
   }
   DMX_CHECK_MSG(home == kNilNode || (home >= 1 && home <= config_.n),
@@ -106,44 +95,28 @@ ResourceId LockSpace::open(std::string_view name,
 
   const ResourceId id = directory_.open(name);
   auto res = std::make_unique<Resource>();
-  res->algorithm = algorithm;
-  res->token_kinds.reserve(algorithm.token_message_kinds.size());
-  for (const std::string& kind : algorithm.token_message_kinds) {
-    res->token_kinds.push_back(net::MessageKind::of(kind));
-  }
   res->home = home != kNilNode ? home : directory_.home_node(id);
-
+  gates_.add_resource(directory_.name(id), algorithm, res->home);
   proto::World world =
       proto::initial_world(algorithm, config_.n, res->home,
                            config_.tree ? &*config_.tree : nullptr);
   // The first path-forwarding resource builds the default star; the rest
   // share it.
   if (world.tree) config_.tree = std::move(world.tree);
-  res->nodes = std::move(world.nodes);
-  res->contexts.reserve(static_cast<std::size_t>(config_.n));
   for (NodeId v = 1; v <= config_.n; ++v) {
-    res->contexts.push_back(std::make_unique<ResourceContext>(*this, id, v));
+    runtime(v).add_gate(id, static_cast<std::uint64_t>(v),
+                        std::move(world.nodes[static_cast<std::size_t>(v)]));
   }
-  res->app_state.assign(static_cast<std::size_t>(config_.n) + 1,
-                        AppState::kIdle);
-  res->grant_callbacks.assign(static_cast<std::size_t>(config_.n) + 1,
-                              nullptr);
-  res->tickets.assign(static_cast<std::size_t>(config_.n) + 1, nullptr);
-  res->node_epoch.assign(static_cast<std::size_t>(config_.n) + 1, 0);
-  res->local_queue.resize(static_cast<std::size_t>(config_.n) + 1);
-  res->chain_len.assign(static_cast<std::size_t>(config_.n) + 1, 0);
-  // Seed the resident-token mirror with one full scan; every subsequent
-  // event reconciles just the node it mutated.
-  if (res->algorithm.token_based) {
-    res->token_at.assign(static_cast<std::size_t>(config_.n) + 1, 0);
-    for (NodeId v = 1; v <= config_.n; ++v) {
-      if (res->nodes[static_cast<std::size_t>(v)]->has_token()) {
-        res->token_at[static_cast<std::size_t>(v)] = 1;
-        ++res->resident_tokens;
-      }
-    }
-  }
+  res->waiting.resize(static_cast<std::size_t>(config_.n) + 1);
+  res->fence_seen.assign(static_cast<std::size_t>(config_.n) + 1, 0);
   resources_.push_back(std::move(res));
+  // Seed the resident-token mirror with one full scan; every subsequent
+  // event reconciles just the node it ran on.
+  if (algorithm.token_based) {
+    resources_.back()->token_at.assign(static_cast<std::size_t>(config_.n) + 1,
+                                       0);
+    for (NodeId v = 1; v <= config_.n; ++v) sync_resident_token(id, v);
+  }
   check_invariants(id);
   return id;
 }
@@ -158,20 +131,29 @@ const LockSpace::Resource& LockSpace::resource(ResourceId r) const {
   return *resources_[static_cast<std::size_t>(r)];
 }
 
+NodeRuntime& LockSpace::runtime(NodeId v) const {
+  return nodes_[static_cast<std::size_t>(v) - 1]->runtime;
+}
+
+Gate& LockSpace::gate(ResourceId r, NodeId v) const {
+  return runtime(v).gate(r);
+}
+
 const proto::Algorithm& LockSpace::algorithm(ResourceId r) const {
-  return resource(r).algorithm;
+  resource(r);
+  return gates_.resource(r).algorithm;
 }
 
 proto::MutexNode& LockSpace::node(ResourceId r, NodeId v) {
-  Resource& res = resource(r);
+  resource(r);
   DMX_CHECK(v >= 1 && v <= config_.n);
-  return *res.nodes[static_cast<std::size_t>(v)];
+  return gate(r, v).protocol();
 }
 
 proto::Context& LockSpace::context(ResourceId r, NodeId v) {
-  Resource& res = resource(r);
+  resource(r);
   DMX_CHECK(v >= 1 && v <= config_.n);
-  return *res.contexts[static_cast<std::size_t>(v) - 1];
+  return gate(r, v).context();
 }
 
 Ticket LockSpace::acquire(ResourceId r, NodeId v, GrantCallback on_grant) {
@@ -182,33 +164,10 @@ Ticket LockSpace::acquire(ResourceId r, NodeId v, GrantCallback on_grant) {
     // grants (drivers treat it as a failed acquire).
     return std::make_shared<Acquisition>();
   }
-  if (res.app_state[static_cast<std::size_t>(v)] != AppState::kIdle) {
-    DMX_CHECK_MSG(config_.queue_local,
-                  "node " << v << " already requesting or in CS of resource "
-                          << directory_.name(r));
-    // Queue behind this node's outstanding request: granted by a chained
-    // hand-off at release, or promoted into the protocol when the chain
-    // yields.
-    auto ticket = std::make_shared<Acquisition>();
-    res.local_queue[static_cast<std::size_t>(v)].push_back(
-        {ticket, std::move(on_grant)});
-    return ticket;
-  }
-  res.app_state[static_cast<std::size_t>(v)] = AppState::kWaiting;
-  res.grant_callbacks[static_cast<std::size_t>(v)] = std::move(on_grant);
   auto ticket = std::make_shared<Acquisition>();
-  res.tickets[static_cast<std::size_t>(v)] = ticket;
-  if (fault_active_ &&
-      res.node_epoch[static_cast<std::size_t>(v)] != res.epoch) {
-    // Recovered but not yet reintegrated: park the request application-
-    // side. The next repair rebinds this node and re-issues it.
-    return ticket;
-  }
-  res.nodes[static_cast<std::size_t>(v)]->request_cs(
-      *res.contexts[static_cast<std::size_t>(v) - 1]);
-  sync_resident_token(res, v);
-  check_invariants(r);
-  if (post_event_hook_) post_event_hook_(*this, r);
+  res.waiting[static_cast<std::size_t>(v)].push({ticket, std::move(on_grant)});
+  gate(r, v).acquire_inline();
+  after_event(r, v);
   return ticket;
 }
 
@@ -220,45 +179,40 @@ Ticket LockSpace::acquire(std::string_view name, NodeId v,
   return acquire(r == kNilResource ? open(name) : r, v, std::move(on_grant));
 }
 
-void LockSpace::on_grant(ResourceId r, NodeId v) {
+void LockSpace::entered(ResourceId r, NodeId v) {
   Resource& res = resource(r);
   if (fault_active_) {
-    // The fencing invariant: a grant must come from a live, epoch-current
-    // instance. A stale token that somehow reached a handler granting here
-    // would be the lost-then-found token being honored — the exact bug the
-    // epoch machinery exists to make impossible.
+    // The fencing invariant: a grant must come from a live gate running
+    // the world it is fenced at. A grant from an older world would be
+    // the lost-then-found token being honored — the exact bug the epoch
+    // machinery exists to make impossible.
     DMX_CHECK_MSG(node_up_[static_cast<std::size_t>(v)],
                   "grant on resource " << directory_.name(r)
                                        << " at crashed node " << v);
-    DMX_CHECK_MSG(
-        res.node_epoch[static_cast<std::size_t>(v)] == res.epoch,
-        "stale-epoch grant on resource "
-            << directory_.name(r) << ": node " << v << " runs epoch "
-            << res.node_epoch[static_cast<std::size_t>(v)]
-            << " but the resource is at epoch " << res.epoch);
+    const Gate& g = gate(r, v);
+    DMX_CHECK_MSG(g.world() == g.fence.load(std::memory_order_relaxed),
+                  "stale-epoch grant on resource "
+                      << directory_.name(r) << ": node " << v
+                      << " runs world " << g.world() << " below its fence "
+                      << g.fence.load(std::memory_order_relaxed));
   }
-  DMX_CHECK_MSG(res.app_state[static_cast<std::size_t>(v)] ==
-                    AppState::kWaiting,
-                "grant for node " << v << " which is not waiting on "
-                                  << directory_.name(r));
+  auto& waiting = res.waiting[static_cast<std::size_t>(v)];
+  DMX_CHECK_MSG(!waiting.empty(), "grant for node "
+                                      << v << " which is not waiting on "
+                                      << directory_.name(r));
   DMX_CHECK_MSG(res.occupant == kNilNode,
                 "mutual exclusion violated on resource "
                     << directory_.name(r) << ": node " << v
                     << " granted while node " << res.occupant
                     << " is inside its critical section");
-  res.app_state[static_cast<std::size_t>(v)] = AppState::kInCs;
   res.occupant = v;
-  ++res.entries;
   ++total_entries_;
-  if (auto& ticket = res.tickets[static_cast<std::size_t>(v)]) {
-    ticket->granted = true;
-    ticket->granted_at = sim_.now();
-    ticket = nullptr;
+  Completion next = waiting.pop();
+  if (next.ticket) {
+    next.ticket->granted = true;
+    next.ticket->granted_at = sim_.now();
   }
-  // Take the callback by move so a new acquire from within it is safe.
-  auto callback = std::move(res.grant_callbacks[static_cast<std::size_t>(v)]);
-  res.grant_callbacks[static_cast<std::size_t>(v)] = nullptr;
-  if (callback) callback(r, v);
+  if (next.callback) next.callback(r, v);
 }
 
 void LockSpace::release(ResourceId r, NodeId v) {
@@ -266,116 +220,41 @@ void LockSpace::release(ResourceId r, NodeId v) {
   DMX_CHECK(v >= 1 && v <= config_.n);
   if (fault_active_ && (res.occupant != v ||
                         !node_up_[static_cast<std::size_t>(v)])) {
-    // The occupancy was voided by a crash (either this node died in the
-    // CS, or a repair discarded the world it was granted in). The driver's
-    // scheduled release is a ghost; ignore it.
+    // The node died in the CS and its occupancy was voided; the driver's
+    // scheduled release is a ghost. Ignore it.
     return;
   }
   DMX_CHECK_MSG(res.occupant == v, "release of " << directory_.name(r)
                                                  << " by node " << v
                                                  << " but occupant is "
                                                  << res.occupant);
-  res.app_state[static_cast<std::size_t>(v)] = AppState::kIdle;
   res.occupant = kNilNode;
-  auto& queue = res.local_queue[static_cast<std::size_t>(v)];
-  int& chain = res.chain_len[static_cast<std::size_t>(v)];
-  if (!queue.empty() && !res.repair_pending &&
-      (!fault_active_ ||
-       res.node_epoch[static_cast<std::size_t>(v)] == res.epoch)) {
-    // Local grant chaining: the token (or grant) stays put and the CS is
-    // handed straight to the next co-located waiter — zero protocol
-    // messages — as long as the lease allows. At the cap boundary the
-    // lease renews in place iff the algorithm guarantees the holder sees
-    // remote interest and none is visible; blind algorithms (Central,
-    // Maekawa) always yield at the cap, which is what keeps remote
-    // waiting bounded on all nine.
-    bool hand_off = lease_chain_allowed(config_.lease, chain);
-    if (!hand_off && config_.lease.max_chain != 0 &&
-        lease_renewable(config_.lease,
-                        res.algorithm.holder_sees_remote_requests,
-                        res.nodes[static_cast<std::size_t>(v)]
-                            ->has_remote_request())) {
-      chain = 0;
-      hand_off = true;
-    }
-    if (hand_off) {
-      ++chain;
-      ++chained_grants_;
-      LocalWaiter next = std::move(queue.front());
-      queue.pop_front();
-      res.app_state[static_cast<std::size_t>(v)] = AppState::kInCs;
-      res.occupant = v;
-      ++res.entries;
-      ++total_entries_;
-      if (next.ticket) {
-        next.ticket->granted = true;
-        next.ticket->granted_at = sim_.now();
-      }
-      if (next.callback) next.callback(r, v);
-      check_invariants(r);
-      if (post_event_hook_) post_event_hook_(*this, r);
-      return;
-    }
-  }
-  chain = 0;
-  if (!queue.empty()) ++lease_yields_;
-  if (res.repair_pending) {
-    // A repair arrived while this node sat in the CS. Skip the protocol
-    // release — the world it would release into is being discarded — and
-    // run the deferred repair now that the CS is empty. A queued local
-    // waiter is promoted to the application-level waiting slot first so
-    // the repair re-issues its request into the fresh world.
-    promote_local_waiter(res, v);
-    res.repair_pending = false;
-    repair_resource(r);
-    if (post_event_hook_) post_event_hook_(*this, r);
-    return;
-  }
-  res.nodes[static_cast<std::size_t>(v)]->release_cs(
-      *res.contexts[static_cast<std::size_t>(v) - 1]);
-  sync_resident_token(res, v);
-  // The chain yielded (or chaining is off): the next local waiter, if
-  // any, re-enters through the protocol so remote requesters get their
-  // turn first.
-  if (promote_local_waiter(res, v)) {
-    res.nodes[static_cast<std::size_t>(v)]->request_cs(
-        *res.contexts[static_cast<std::size_t>(v) - 1]);
-    sync_resident_token(res, v);
-  }
-  check_invariants(r);
-  if (post_event_hook_) post_event_hook_(*this, r);
-}
-
-bool LockSpace::promote_local_waiter(Resource& res, NodeId v) {
-  auto& queue = res.local_queue[static_cast<std::size_t>(v)];
-  if (queue.empty()) return false;
-  LocalWaiter next = std::move(queue.front());
-  queue.pop_front();
-  res.app_state[static_cast<std::size_t>(v)] = AppState::kWaiting;
-  res.grant_callbacks[static_cast<std::size_t>(v)] = std::move(next.callback);
-  res.tickets[static_cast<std::size_t>(v)] = std::move(next.ticket);
-  return true;
+  // Hands the CS to the next local waiter under the lease (entered()
+  // fires inside), or releases into the protocol and completes a repair
+  // deferred on this holder.
+  runtime(v).unlock(r);
+  after_event(r, v);
 }
 
 bool LockSpace::is_idle(ResourceId r, NodeId v) const {
-  return resource(r).app_state[static_cast<std::size_t>(v)] ==
-         AppState::kIdle;
+  const Resource& res = resource(r);
+  return res.occupant != v && res.waiting[static_cast<std::size_t>(v)].empty();
 }
 
 bool LockSpace::is_waiting(ResourceId r, NodeId v) const {
-  return resource(r).app_state[static_cast<std::size_t>(v)] ==
-         AppState::kWaiting;
+  const Resource& res = resource(r);
+  return res.occupant != v && !res.waiting[static_cast<std::size_t>(v)].empty();
 }
 
 bool LockSpace::is_in_cs(ResourceId r, NodeId v) const {
-  return resource(r).app_state[static_cast<std::size_t>(v)] ==
-         AppState::kInCs;
+  return resource(r).occupant == v;
 }
 
 NodeId LockSpace::occupant(ResourceId r) const { return resource(r).occupant; }
 
 std::uint64_t LockSpace::entries(ResourceId r) const {
-  return resource(r).entries;
+  resource(r);
+  return gates_.resource(r).entries.load(std::memory_order_relaxed);
 }
 
 int LockSpace::resident_tokens(ResourceId r) const {
@@ -383,53 +262,87 @@ int LockSpace::resident_tokens(ResourceId r) const {
 }
 
 std::size_t LockSpace::local_queue_depth(ResourceId r, NodeId v) const {
-  return resource(r).local_queue[static_cast<std::size_t>(v)].size();
+  const Resource& res = resource(r);
+  const std::size_t waiting = res.waiting[static_cast<std::size_t>(v)].size();
+  // Behind the holder every waiter is queued; otherwise the front one's
+  // request is in the protocol.
+  if (res.occupant == v || waiting == 0) return waiting;
+  return waiting - 1;
+}
+
+std::uint64_t LockSpace::stale_frames() const {
+  std::uint64_t sum = 0;
+  for (NodeId v = 1; v <= config_.n; ++v) sum += runtime(v).stale_frames();
+  return sum;
 }
 
 void LockSpace::check_invariants(ResourceId r) {
-  // CS exclusivity per resource is structural (on_grant checks). Verify
-  // per-resource token uniqueness: the harness-maintained resident-token
-  // counter plus in-flight token messages of THIS resource — O(1) on both
-  // sides (the former replaced an O(N) has_token() scan per event).
+  // CS exclusivity per resource is structural (entered() checks). Verify
+  // per-resource token uniqueness: the resident-token mirror plus
+  // in-flight token messages of THIS resource — O(1) on both sides
+  // without faults.
   Resource& res = resource(r);
-  if (!res.algorithm.token_based) return;
-  DMX_CHECK_MSG(res.resident_tokens >= 0,
-                "resource " << directory_.name(r)
-                            << " resident-token counter went negative");
+  const GateResource& gr = gates_.resource(r);
   if (fault_active_) {
-    // Fault-aware counting: only live tokens matter — resident at an
-    // up, epoch-current node, or in flight stamped with the current
-    // epoch. A token frozen inside a crashed node or trailing the fence
-    // is already dead; counting it would make a legitimate regeneration
-    // look like a duplicate. O(n) scan, paid only when faults are active.
+    // Fault-aware counting: only live tokens matter — resident at an up
+    // node whose world is open (installed and not fenced past), or in
+    // flight stamped with an open world's epoch. A token frozen inside a
+    // crashed node or behind a fence is already dead; counting it would
+    // make a legitimate regeneration look like a duplicate. O(n) scan,
+    // paid only when faults are active.
     std::size_t live = 0;
+    open_epochs_.clear();
     for (NodeId v = 1; v <= config_.n; ++v) {
-      if (res.token_at[static_cast<std::size_t>(v)] &&
-          node_up_[static_cast<std::size_t>(v)] &&
-          res.node_epoch[static_cast<std::size_t>(v)] == res.epoch) {
-        ++live;
+      const Gate& g = gate(r, v);
+      const Epoch fence = g.fence.load(std::memory_order_relaxed);
+      Epoch& seen = res.fence_seen[static_cast<std::size_t>(v)];
+      DMX_CHECK_MSG(fence >= seen, "fence of resource "
+                                       << directory_.name(r) << " at node "
+                                       << v << " went down from " << seen
+                                       << " to " << fence);
+      seen = fence;
+      if (!node_up_[static_cast<std::size_t>(v)] || g.world() != fence) {
+        continue;
+      }
+      if (gr.algorithm.token_based) {
+        live += res.token_at[static_cast<std::size_t>(v)];
+      }
+      if (std::find(open_epochs_.begin(), open_epochs_.end(), fence) ==
+          open_epochs_.end()) {
+        open_epochs_.push_back(fence);
       }
     }
-    for (const net::MessageKind kind : res.token_kinds) {
-      live += network_->in_flight_count(r, res.epoch, kind);
+    // No live node can grant the resource any more (unavailable
+    // everywhere): nothing is left to count.
+    if (!gr.algorithm.token_based || open_epochs_.empty()) return;
+    for (const Epoch e : open_epochs_) {
+      for (const net::MessageKind kind : gr.token_kinds) {
+        live += network_->in_flight_count(r, e, kind);
+      }
     }
-    if (res.degraded) {
+    if (config_.recovery_enabled && !settled(r)) {
       // Between fault and repair the token may be lost, never duplicated.
+      // With recovery disabled the check stays strict, so a lost token is
+      // CAUGHT, not excused.
       DMX_CHECK_MSG(live <= 1, "resource "
                                    << directory_.name(r)
                                    << " live token count is " << live
-                                   << " during degraded epoch " << res.epoch);
+                                   << " during degraded epoch " << epoch(r));
     } else {
       DMX_CHECK_MSG(live == 1, "resource "
                                    << directory_.name(r) << " token count is "
-                                   << live << " at epoch " << res.epoch
+                                   << live << " at epoch " << epoch(r)
                                    << " (must be exactly 1)");
     }
     return;
   }
+  if (!gr.algorithm.token_based) return;
+  DMX_CHECK_MSG(res.resident_tokens >= 0,
+                "resource " << directory_.name(r)
+                            << " resident-token counter went negative");
   std::size_t tokens = static_cast<std::size_t>(res.resident_tokens);
-  for (const net::MessageKind kind : res.token_kinds) {
-    tokens += network_->in_flight_count(r, res.epoch, kind);
+  for (const net::MessageKind kind : gr.token_kinds) {
+    tokens += network_->in_flight_count(r, 0, kind);
   }
   DMX_CHECK_MSG(tokens == 1, "resource " << directory_.name(r)
                                          << " token count is " << tokens
@@ -461,38 +374,59 @@ int LockSpace::alive_count() const {
   return alive;
 }
 
-Epoch LockSpace::epoch(ResourceId r) const { return resource(r).epoch; }
+Epoch LockSpace::epoch(ResourceId r) const {
+  resource(r);
+  Epoch highest = 0;
+  for (NodeId v = 1; v <= config_.n; ++v) {
+    if (node_up_[static_cast<std::size_t>(v)]) {
+      highest = std::max(highest,
+                         gate(r, v).fence.load(std::memory_order_relaxed));
+    }
+  }
+  return highest;
+}
+
+bool LockSpace::settled(ResourceId r) const {
+  NodeId first = kNilNode;
+  for (NodeId v = 1; v <= config_.n; ++v) {
+    if (!node_up_[static_cast<std::size_t>(v)]) continue;
+    const Gate& g = gate(r, v);
+    if (g.world() != g.fence.load(std::memory_order_relaxed)) return false;
+    if (first == kNilNode) {
+      first = v;
+      const fault::Membership& m = runtime(v).membership(r);
+      for (NodeId u = 1; u <= config_.n; ++u) {
+        if (m.contains(u) != (node_up_[static_cast<std::size_t>(u)] != 0)) {
+          return false;
+        }
+      }
+    } else if (g.world() != gate(r, first).world()) {
+      return false;
+    }
+  }
+  return first != kNilNode;
+}
 
 bool LockSpace::is_degraded(ResourceId r) const {
-  return resource(r).degraded || resource(r).repair_pending;
+  resource(r);
+  return fault_active_ && !settled(r);
 }
 
 const fault::Membership& LockSpace::membership(ResourceId r) const {
-  const Resource& res = resource(r);
-  return res.membership ? *res.membership : identity_;
+  resource(r);
+  for (NodeId v = 1; v <= config_.n; ++v) {
+    if (node_up_[static_cast<std::size_t>(v)]) {
+      return runtime(v).membership(r);
+    }
+  }
+  return identity_;
 }
 
-void LockSpace::deliver(const net::Envelope& env) {
+void LockSpace::deliver(net::Envelope& env) {
   DMX_CHECK(env.to >= 1 && env.to <= config_.n);
-  Resource& res = resource(env.resource);
-  NodeId from = env.from;
-  if (fault_active_) {
-    // The network already discards envelopes to dead nodes and fences
-    // stale epochs; anything arriving here must be current-world. Guard
-    // anyway — a handler running on a stale instance would corrupt it.
-    if (!node_up_[static_cast<std::size_t>(env.to)] ||
-        res.node_epoch[static_cast<std::size_t>(env.to)] != env.epoch) {
-      return;
-    }
-    ResourceContext& ctx = *res.contexts[static_cast<std::size_t>(env.to) - 1];
-    if (ctx.membership() != nullptr) from = ctx.membership()->rank_of(env.from);
-  }
-  res.nodes[static_cast<std::size_t>(env.to)]->on_message(
-      *res.contexts[static_cast<std::size_t>(env.to) - 1], from,
-      *env.message);
-  sync_resident_token(res, env.to);
-  check_invariants(env.resource);
-  if (post_event_hook_) post_event_hook_(*this, env.resource);
+  runtime(env.to).on_frame(env.from, env.epoch, env.resource,
+                           std::move(env.message));
+  after_event(env.resource, env.to);
 }
 
 void LockSpace::on_discard(const net::Envelope& env,
@@ -518,38 +452,27 @@ void LockSpace::crash(NodeId v) {
                 "node " << v << " crashed while already down");
   fault_active_ = true;
   node_up_[static_cast<std::size_t>(v)] = 0;
-  rejoin_pending_[static_cast<std::size_t>(v)] = 1;
   network_->set_node_down(v);
+  // The runtime dies in place: every resource fenced and unavailable at
+  // v, a hold revoked. A dead node hears nobody.
+  NodeRuntime& dead = runtime(v);
+  dead.abandon();
+  for (NodeId u = 1; u <= config_.n; ++u) {
+    if (u != v) dead.on_peer_down(u);
+  }
   for (ResourceId r = 0; r < resource_count(); ++r) {
     Resource& res = resource(r);
-    if (res.occupant == v) {
-      // The occupant died inside the CS; the CS is empty again (the dead
-      // node will never release) and the token it held is frozen with it.
-      res.occupant = kNilNode;
-      res.app_state[static_cast<std::size_t>(v)] = AppState::kIdle;
-    } else if (res.app_state[static_cast<std::size_t>(v)] ==
-               AppState::kWaiting) {
-      // Void the dead node's pending request: the ticket never grants.
-      res.app_state[static_cast<std::size_t>(v)] = AppState::kIdle;
-      res.grant_callbacks[static_cast<std::size_t>(v)] = nullptr;
-      res.tickets[static_cast<std::size_t>(v)] = nullptr;
-    }
-    // Local waiters die with their node: their tickets never grant.
-    res.local_queue[static_cast<std::size_t>(v)].clear();
-    res.chain_len[static_cast<std::size_t>(v)] = 0;
-    if (config_.recovery_enabled && res.algorithm.token_based) {
-      // Until the repair we cannot tell whether the token died with the
-      // node; tolerate transient loss. With recovery disabled checks stay
-      // strict so a lost token is CAUGHT, not excused.
-      res.degraded = true;
-    }
-    check_invariants(r);
-    if (post_event_hook_) post_event_hook_(*this, r);
+    // Waiting tickets die with their node: they never grant.
+    gate(r, v).drop_waiters();
+    auto& waiting = res.waiting[static_cast<std::size_t>(v)];
+    while (!waiting.empty()) waiting.pop();
+    // An occupant that died inside the CS leaves it empty again; the
+    // token it held is frozen with it.
+    if (res.occupant == v) res.occupant = kNilNode;
   }
+  after_node_event(v);
   if (membership_hook_) membership_hook_(v, false);
-  if (config_.recovery_enabled) {
-    sim_.schedule_after(config_.detect_after, [this] { repair_all(); });
-  }
+  sim_.schedule_after(config_.detect_after, [this, v] { detect_crash(v); });
 }
 
 void LockSpace::recover(NodeId v) {
@@ -558,113 +481,48 @@ void LockSpace::recover(NodeId v) {
                 "node " << v << " recovered while already up");
   node_up_[static_cast<std::size_t>(v)] = 1;
   network_->set_node_up(v);
-  // The node is back but runs its frozen pre-crash instances; every
-  // resource whose epoch moved on fences it until repair_all reintegrates
-  // it with fresh state.
-  if (config_.recovery_enabled) {
-    sim_.schedule_after(config_.detect_after, [this] { repair_all(); });
+  sim_.schedule_after(config_.detect_after, [this, v] { detect_recovery(v); });
+}
+
+void LockSpace::detect_crash(NodeId v) {
+  // The link broke: every live node notices, even if `v` is back already
+  // (its recovery is detected afterwards).
+  for (NodeId u = 1; u <= config_.n; ++u) {
+    if (u == v || !node_up_[static_cast<std::size_t>(u)]) continue;
+    runtime(u).on_peer_down(v);
+    after_node_event(u);
   }
 }
 
-void LockSpace::repair_all() {
-  for (ResourceId r = 0; r < resource_count(); ++r) {
-    Resource& res = resource(r);
-    if (res.repair_pending) continue;  // already deferred to release()
-    // Repair iff the current membership differs from the live set or the
-    // resource is degraded; multiple scheduled detections collapse to one
-    // repair this way.
-    bool current = !res.degraded;
-    for (NodeId v = 1; v <= config_.n && current; ++v) {
-      const bool member = res.membership
-                              ? res.membership->contains(v)
-                              : true;
-      const bool up = node_up_[static_cast<std::size_t>(v)] != 0;
-      if (member != up) current = false;
-      if (up && res.node_epoch[static_cast<std::size_t>(v)] != res.epoch) {
-        current = false;
-      }
-    }
-    if (current) continue;
-    if (res.occupant != kNilNode) {
-      // A live node is inside the CS; repairing now would revoke a held
-      // lock. Defer to its release.
-      res.repair_pending = true;
-      continue;
-    }
-    repair_resource(r);
-    if (post_event_hook_) post_event_hook_(*this, r);
+void LockSpace::detect_recovery(NodeId v) {
+  if (!node_up_[static_cast<std::size_t>(v)]) return;  // crashed again
+  std::vector<NodeId> peers;
+  for (NodeId u = 1; u <= config_.n; ++u) {
+    if (u == v || !node_up_[static_cast<std::size_t>(u)]) continue;
+    runtime(u).on_peers_up({v});
+    after_node_event(u);
+    peers.push_back(u);
   }
+  // The rejoining node learns its whole view at once.
+  runtime(v).on_peers_up(peers);
+  after_node_event(v);
+  if (config_.recovery_enabled && membership_hook_) membership_hook_(v, true);
 }
 
-void LockSpace::repair_resource(ResourceId r) {
-  Resource& res = resource(r);
-  const NodeId winner = quorum::elect_regenerator(config_.n, node_up_);
-  if (winner == kNilNode) {
-    // No live majority: regeneration would risk a token on each side of a
-    // partition. Stay degraded until enough nodes return.
-    return;
-  }
-  auto membership = std::make_shared<fault::Membership>(
-      fault::Membership::survivors(config_.n, node_up_));
-  const int k = membership->size();
-  res.epoch += 1;
-  network_->set_resource_epoch(r, res.epoch);
-
-  // Rebuild the protocol world over the compact survivor ids. The winner
-  // is the smallest live node, so its rank is 1 — which also satisfies
-  // Singhal's pinned initial holder.
-  proto::World fresh = proto::regenerated_world(res.algorithm, k,
-                                                membership->rank_of(winner));
-
-  std::vector<NodeId> reintegrated;
-  for (NodeId rank = 1; rank <= k; ++rank) {
-    const NodeId original = membership->original_of(rank);
-    if (rejoin_pending_[static_cast<std::size_t>(original)]) {
-      rejoin_pending_[static_cast<std::size_t>(original)] = 0;
-      reintegrated.push_back(original);
-    }
-    res.nodes[static_cast<std::size_t>(original)] =
-        std::move(fresh.nodes[static_cast<std::size_t>(rank)]);
-    res.node_epoch[static_cast<std::size_t>(original)] = res.epoch;
-    res.contexts[static_cast<std::size_t>(original) - 1]->rebind(membership,
-                                                                 res.epoch);
-  }
-  res.membership = membership;
-  res.degraded = false;
-
-  // Reseed the resident-token mirror: survivors from the fresh instances,
-  // dead nodes keep their frozen (stale, fenced) entries.
-  if (res.algorithm.token_based) {
-    res.resident_tokens = 0;
-    for (NodeId v = 1; v <= config_.n; ++v) {
-      res.token_at[static_cast<std::size_t>(v)] =
-          res.nodes[static_cast<std::size_t>(v)]->has_token() ? 1 : 0;
-      res.resident_tokens += res.token_at[static_cast<std::size_t>(v)];
-    }
-  }
-
-  // Re-issue requests parked by survivors (their pre-repair protocol
-  // requests died with the old world; tickets and callbacks are intact).
-  // Ascending original id keeps the repair deterministic.
-  for (NodeId rank = 1; rank <= k; ++rank) {
-    const NodeId original = membership->original_of(rank);
-    if (res.app_state[static_cast<std::size_t>(original)] !=
-        AppState::kWaiting) {
-      continue;
-    }
-    res.nodes[static_cast<std::size_t>(original)]->request_cs(
-        *res.contexts[static_cast<std::size_t>(original) - 1]);
-    sync_resident_token(res, original);
-  }
+void LockSpace::after_event(ResourceId r, NodeId v) {
+  sync_resident_token(r, v);
   check_invariants(r);
-  for (const NodeId v : reintegrated) {
-    if (membership_hook_) membership_hook_(v, true);
-  }
+  if (post_event_hook_) post_event_hook_(*this, r);
 }
 
-void LockSpace::sync_resident_token(Resource& res, NodeId v) {
-  if (!res.algorithm.token_based) return;
-  const bool has = res.nodes[static_cast<std::size_t>(v)]->has_token();
+void LockSpace::after_node_event(NodeId v) {
+  for (ResourceId r = 0; r < resource_count(); ++r) after_event(r, v);
+}
+
+void LockSpace::sync_resident_token(ResourceId r, NodeId v) {
+  Resource& res = resource(r);
+  if (res.token_at.empty()) return;  // not token-based
+  const bool has = gate(r, v).protocol().has_token();
   res.resident_tokens +=
       static_cast<int>(has) -
       static_cast<int>(res.token_at[static_cast<std::size_t>(v)]);

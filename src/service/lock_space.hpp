@@ -1,25 +1,38 @@
 // Sharded multi-resource lock service over the deterministic simulator.
 //
-// A LockSpace manages M named resources across N nodes. Every resource is
-// backed by its own protocol instance from the registry (per-resource
-// algorithm selection allowed), yet ONE net::Network carries all of them:
-// envelopes are tagged with a dense ResourceId and deliveries demultiplex
-// into the resource's node instances. Placement is a consistent-hash
-// Directory (lock name -> home node = initial token holder / tree root),
-// so it is deterministic and stable as resources are added.
+// A LockSpace manages M named resources across N nodes, and is built from
+// the same parts as the threaded and TCP spaces: N service::NodeRuntimes
+// (one per node) over one GateSet, each sending through a SimTransport
+// that stamps frames onto the shared net::Network. Envelopes carry a dense
+// ResourceId and the sender's world epoch; every delivery is one frame
+// admitted by the destination runtime. The gates' strands run inline on
+// the simulator thread (no worker threads), so a delivery, request or
+// release runs to completion inside the event that causes it, and a grant
+// is consumed on the spot and reported back here. Placement is a
+// consistent-hash Directory (lock name -> home node = initial token holder
+// / tree root), deterministic and stable as resources are added.
 //
-// Invariants are per resource and re-checked after every event:
-//  * at most one node inside resource r's critical section;
-//  * for token-based algorithms, exactly one token PER RESOURCE, counting
-//    resident tokens and in-flight token messages. Both sides are O(1):
-//    in-flight tokens query the network's per-resource counters, and
-//    resident tokens are a harness-maintained counter — each handler
-//    mutates exactly one node's protocol instance, so the harness
-//    reconciles that node's has_token() against a per-node mirror after
-//    the handler instead of scanning all N nodes after every event.
+// Faults: crash(v) kills v's runtime in place and cuts its traffic;
+// `detect_after` ticks later every survivor's runtime hears on_peer_down
+// (recover: on_peers_up), and the runtimes' own REPAIR/ACK ballot — the
+// one that ships over TCP — fences, regenerates and re-admits.
+//
+// What remains of the space is its checker, re-run for the touched
+// resource after every event:
+//  * at most one node inside resource r's critical section, and a grant
+//    only from a live gate whose installed world is the one it is fenced
+//    at;
+//  * no gate's fence epoch ever goes down;
+//  * for token-based algorithms, exactly one live token PER RESOURCE:
+//    tokens resident at live nodes whose world is open (installed and not
+//    fenced past), plus in-flight token messages stamped with an open
+//    world's epoch. Resident tokens are a mirror of each node's
+//    has_token(), reconciled for the one node an event ran on, so the
+//    fault-free check stays O(1). Between a fault and the settled repair
+//    the token may be lost, never duplicated (with recovery enabled);
+//  * the post-event hook (the swarm's per-algorithm structural checks).
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -28,13 +41,16 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "exec/ring.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/membership.hpp"
 #include "net/network.hpp"
 #include "proto/algorithm.hpp"
 #include "proto/mutex_node.hpp"
 #include "service/directory.hpp"
+#include "service/gate.hpp"
 #include "service/lease.hpp"
+#include "service/node_runtime.hpp"
 #include "sim/simulator.hpp"
 #include "topology/tree.hpp"
 
@@ -59,25 +75,21 @@ struct LockSpaceConfig {
   std::size_t wheel_span = sim::Simulator::kDefaultWheelSpan;
   /// Crash/recovery schedule applied in virtual time (empty = no faults).
   fault::FaultPlan fault_plan;
-  /// When true (the default), each crash or recovery schedules a structure
-  /// repair after `detect_after` ticks: survivors elect a regenerator
-  /// (src/quorum consent), the epoch bumps, and fresh protocol instances
-  /// are built over the compact survivor membership with the token minted
-  /// at the winner. When false, faults are injected but never repaired —
-  /// the configuration the token-loss counterexample tests run in.
+  /// When true (the default), the runtimes repair every crash and
+  /// recovery they detect: the smallest live node wins a REPAIR/ACK
+  /// ballot and regenerates the token over the compact survivor
+  /// membership. When false, faults are never repaired (a resource whose
+  /// home died becomes unavailable) — the configuration the token-loss
+  /// counterexample tests run in.
   bool recovery_enabled = true;
   /// Failure-detection timeout: virtual ticks between a fault event and
-  /// the repair it triggers, modeling timeout-based detection.
+  /// the link events (on_peer_down / on_peers_up) it raises at the other
+  /// nodes' runtimes, modeling timeout-based detection.
   Tick detect_after = 25;
-  /// When true, a second acquire from a node already requesting or inside
-  /// a resource's CS queues FIFO behind the first (per resource, node)
-  /// instead of being a caller error — the precondition for local grant
-  /// chaining. Default off: the protocol's one-outstanding-request
-  /// contract stays enforced and existing behavior is bit-identical.
-  bool queue_local = false;
-  /// Lease policy for local grant chaining on the release path (effective
-  /// only with queue_local; max_hold_ns is ignored — virtual time has no
-  /// wall clock, the sim's bound is max_chain alone).
+  /// Lease policy for local grant chaining on the release path: a second
+  /// acquire at a busy (resource, node) queues FIFO behind the node's one
+  /// request and may be handed the CS at release. max_hold_ns is ignored
+  /// — virtual time has no wall clock, the sim's bound is max_chain alone.
   LeaseConfig lease;
 };
 
@@ -90,15 +102,16 @@ struct Acquisition {
 };
 using Ticket = std::shared_ptr<const Acquisition>;
 
-class LockSpace {
+class LockSpace final : private GrantSink {
  public:
   /// Fires on CS entry: (resource, node).
   using GrantCallback = std::function<void(ResourceId, NodeId)>;
   /// Per-event invariant hook, called with the resource the event touched.
   using PostEventHook = std::function<void(LockSpace&, ResourceId)>;
   /// Fires when node membership changes: (node, up). `up == false` at the
-  /// moment of a crash; `up == true` when a recovered node is reintegrated
-  /// by a repair. Drivers use it to stop and restart per-node client
+  /// moment of a crash; `up == true` when the other nodes detect a
+  /// recovered node (with recovery enabled), after which a repair
+  /// re-admits it. Drivers use it to stop and restart per-node client
   /// loops.
   using MembershipHook = std::function<void(NodeId, bool)>;
 
@@ -135,8 +148,9 @@ class LockSpace {
 
   /// Async acquire: node `v` requests resource `r`. Returns a completion
   /// handle that flips to granted when the node enters the CS; `on_grant`
-  /// (optional) fires at the same moment. One outstanding request per
-  /// (resource, node) — the protocol's own precondition.
+  /// (optional) fires at the same moment. A node has one protocol request
+  /// per resource; further acquires at a busy (resource, node) queue FIFO
+  /// behind it.
   Ticket acquire(ResourceId r, NodeId v, GrantCallback on_grant = nullptr);
   /// Name-based sugar: opens the resource on demand.
   Ticket acquire(std::string_view name, NodeId v,
@@ -162,10 +176,13 @@ class LockSpace {
   /// CS entries handed directly to a co-located waiter on the release path
   /// (zero protocol messages), and release-time lease yields that offered
   /// the token back to the protocol while local waiters still queued.
-  std::uint64_t chained_grants() const { return chained_grants_; }
-  std::uint64_t lease_yields() const { return lease_yields_; }
+  std::uint64_t chained_grants() const { return gates_.chained_grants(); }
+  std::uint64_t lease_yields() const { return gates_.lease_yields(); }
   /// Local waiters currently queued behind (r, v)'s outstanding request.
   std::size_t local_queue_depth(ResourceId r, NodeId v) const;
+  /// Protocol frames the runtimes dropped because their epoch trailed the
+  /// receiver's fence (stale-token fencing).
+  std::uint64_t stale_frames() const;
 
   /// Harness-maintained count of resource `r`'s tokens resident at nodes
   /// (excluding in-flight token messages). 0 for non-token algorithms.
@@ -189,116 +206,98 @@ class LockSpace {
   // The scheduled path applies config.fault_plan in virtual time; tests
   // may also crash/recover nodes directly at the current tick.
 
-  /// Crashes node `v` now: its protocol state freezes (NOT reset — a later
-  /// recovery brings the stale state back), the network drops its traffic,
-  /// any CS occupancy or waiting tickets it holds are voided, and — with
-  /// recovery enabled — a repair is scheduled after `detect_after` ticks.
+  /// Crashes node `v` now: its runtime dies in place (every resource
+  /// fenced, its protocol state frozen), the network drops its traffic,
+  /// any CS occupancy or waiting tickets it holds are voided, and the
+  /// other nodes detect the crash after `detect_after` ticks.
   void crash(NodeId v);
 
-  /// Recovers node `v` now: reachable again but epoch-stale (its frozen
-  /// instances are fenced) until the scheduled repair reintegrates it.
+  /// Recovers node `v` now: reachable again but fenced until, after
+  /// `detect_after` ticks, the nodes see each other and a repair
+  /// re-admits it.
   void recover(NodeId v);
 
   bool is_node_up(NodeId v) const;
   /// Number of currently live nodes.
   int alive_count() const;
 
-  /// Current configuration epoch of resource `r` (0 until first repair).
+  /// Highest fence epoch of resource `r` over the live nodes (0 until the
+  /// first repair; a repair's epoch is its ballot, round * n + winner).
   Epoch epoch(ResourceId r) const;
-  /// True between a fault hitting resource `r` and its repair; a degraded
-  /// token resource may transiently have zero live tokens.
+  /// True from a fault until every live node runs one world of `r` that
+  /// spans exactly the live set; a degraded token resource may
+  /// transiently have zero live tokens.
   bool is_degraded(ResourceId r) const;
-  /// Compact survivor membership of `r`'s current epoch.
+  /// Compact survivor membership of `r`'s current world.
   const fault::Membership& membership(ResourceId r) const;
 
   /// Drains all pending simulator events.
   void run_to_quiescence() { sim_.run(); }
 
  private:
-  class ResourceContext;
-  enum class AppState : std::uint8_t { kIdle, kWaiting, kInCs };
+  class SimTransport;
 
-  /// A co-located client queued behind this node's outstanding request
-  /// (queue_local only); granted either by a chained hand-off or by
-  /// promotion into the protocol when the chain yields.
-  struct LocalWaiter {
+  /// An acquire waiting at (resource, node), in ticket order.
+  struct Completion {
     std::shared_ptr<Acquisition> ticket;
     GrantCallback callback;
   };
 
   struct Resource {
-    proto::Algorithm algorithm;
-    std::vector<net::MessageKind> token_kinds;
+    /// The home the resource was opened with (Singhal's token still
+    /// starts at node 1).
     NodeId home = kNilNode;
-    std::vector<std::unique_ptr<proto::MutexNode>> nodes;      // 1..n
-    std::vector<std::unique_ptr<ResourceContext>> contexts;    // 0..n-1
-    std::vector<AppState> app_state;                           // 1..n
-    std::vector<GrantCallback> grant_callbacks;                // 1..n
-    std::vector<std::shared_ptr<Acquisition>> tickets;         // 1..n
+    /// Per node, the gate's waiters in ticket order (1..n).
+    std::vector<exec::Ring<Completion>> waiting;
     NodeId occupant = kNilNode;
-    std::uint64_t entries = 0;
     /// Tokens resident at nodes, maintained incrementally: `token_at` is
-    /// a per-node mirror of has_token(), reconciled against the one node
-    /// each handler mutates. Reconciling (rather than diffing a snapshot
-    /// taken before the handler) keeps the counter exact even when a
-    /// grant callback re-enters release()/acquire() mid-event. Keeps the
-    /// per-event uniqueness check O(#token_kinds).
+    /// a per-node mirror of has_token(), reconciled for the node each
+    /// event ran on. Keeps the per-event uniqueness check O(#token_kinds).
     int resident_tokens = 0;
     std::vector<std::uint8_t> token_at;  // 1..n, token-based only
-    /// Fault-tolerance state. Epoch 0 runs over the identity membership
-    /// (membership == nullptr) with zero overhead on the no-fault path.
-    Epoch epoch = 0;
-    std::vector<Epoch> node_epoch;  // 1..n: epoch of each node's instance
-    std::shared_ptr<const fault::Membership> membership;  // null = identity
-    bool degraded = false;
-    /// Set when a repair arrived while a live node occupied the CS: the
-    /// repair runs inside that node's release() instead, which then skips
-    /// the protocol release (the old world is discarded wholesale).
-    bool repair_pending = false;
-    /// Per-node FIFO of co-located waiters (queue_local only; 1..n).
-    std::vector<std::deque<LocalWaiter>> local_queue;
-    /// Consecutive chained grants since the token last arrived through the
-    /// protocol at each node (1..n); reset on every yield or renewal.
-    std::vector<int> chain_len;
+    /// Each node's fence as of the last check (1..n).
+    std::vector<Epoch> fence_seen;
   };
 
   Resource& resource(ResourceId r);
   const Resource& resource(ResourceId r) const;
-  void on_grant(ResourceId r, NodeId v);
-  void deliver(const net::Envelope& env);
+  NodeRuntime& runtime(NodeId v) const;
+  Gate& gate(ResourceId r, NodeId v) const;
+  /// GrantSink: node `v`'s front waiter on `r` entered the CS.
+  void entered(ResourceId r, NodeId v) override;
+  void deliver(net::Envelope& env);
   void on_discard(const net::Envelope& env, net::Network::DiscardReason reason);
   void apply_fault(const fault::FaultEvent& event);
-  void repair_all();
-  void repair_resource(ResourceId r);
-  /// Reconciles node `v`'s entry of the resident-token mirror after a
-  /// handler ran on it.
-  static void sync_resident_token(Resource& res, NodeId v);
-  /// Moves the head of (res, v)'s local queue into the application-level
-  /// waiting slot (ticket + callback, state kWaiting). The caller issues
-  /// the protocol request (or lets a pending repair re-issue it). Returns
-  /// false if the queue was empty.
-  static bool promote_local_waiter(Resource& res, NodeId v);
+  /// The other nodes notice that `v` crashed / came back.
+  void detect_crash(NodeId v);
+  void detect_recovery(NodeId v);
+  /// The checks after an event that ran on node `v`'s instance of `r`.
+  void after_event(ResourceId r, NodeId v);
+  /// ... of every resource at `v` (a link event touches them all).
+  void after_node_event(NodeId v);
+  /// Reconciles node `v`'s entry of the resident-token mirror.
+  void sync_resident_token(ResourceId r, NodeId v);
+  /// Whether every live node runs one open world of `r` spanning exactly
+  /// the live set.
+  bool settled(ResourceId r) const;
 
   LockSpaceConfig config_;
-  std::uint64_t chained_grants_ = 0;
-  std::uint64_t lease_yields_ = 0;
   Directory directory_;
   sim::Simulator sim_;
   std::unique_ptr<net::Network> network_;
+  GateSet gates_;
+  std::vector<std::unique_ptr<SimTransport>> nodes_;  // node v at v - 1
   std::vector<std::unique_ptr<Resource>> resources_;  // by ResourceId
   std::uint64_t total_entries_ = 0;
   PostEventHook post_event_hook_;
   MembershipHook membership_hook_;
   std::vector<std::uint8_t> node_up_;  // 1..n, 1 = alive
-  /// Nodes whose crash fired the membership hook and which have not yet
-  /// been reintegrated by any repair (the first repair that readmits the
-  /// node fires the rejoin hook and clears the bit).
-  std::vector<std::uint8_t> rejoin_pending_;  // 1..n
-  /// True once any fault is scheduled or injected; gates the (slightly
-  /// wider) fault-aware acquire/release/invariant paths so the no-fault
-  /// configuration behaves exactly as before.
+  /// True once any fault is scheduled or injected; gates the O(n)
+  /// fault-aware checks so the no-fault configuration stays O(1).
   bool fault_active_ = false;
   fault::Membership identity_;
+  /// Open world epochs, scratch for check_invariants.
+  std::vector<Epoch> open_epochs_;
 };
 
 }  // namespace dmx::service

@@ -32,22 +32,28 @@ NodeRuntime::NodeRuntime(GateSet& set, Transport& transport, NodeId self,
           static_cast<std::size_t>(n_) + 1)),
       initial_membership_(std::make_shared<const fault::Membership>(
           fault::Membership::identity(n_))),
-      resources_(set.resource_count()),
-      slots_(std::make_unique<Slot[]>(static_cast<std::size_t>(resources_))) {
+      first_chunk_(static_cast<std::size_t>(set.resource_count())) {
   DMX_CHECK_MSG(self_ >= 1 && self_ <= n_,
                 "self id " << self_ << " outside 1.." << n_);
   for (NodeId v = 1; v <= n_; ++v) {
     up_[static_cast<std::size_t>(v)].store(true, std::memory_order_relaxed);
   }
-  for (ResourceId r = 0; r < resources_; ++r) {
-    slot(r).membership = initial_membership_;
-  }
+  chunks_.push_back(first_chunk_ > 0 ? std::make_unique<Slot[]>(first_chunk_)
+                                     : nullptr);
 }
 
 void NodeRuntime::add_gate(ResourceId r, std::uint64_t seed,
                            std::unique_ptr<proto::MutexNode> node) {
-  DMX_CHECK(r >= 0 && r < resources_ && slot(r).gate == nullptr);
-  slot(r).gate = &set_.add_gate(*this, r, self_, seed, std::move(node));
+  DMX_CHECK(r == resources_ && r < set_.resource_count());
+  const std::size_t capacity =
+      first_chunk_ + (chunks_.size() - 1) * kSlotChunk;
+  if (static_cast<std::size_t>(r) == capacity) {
+    chunks_.push_back(std::make_unique<Slot[]>(kSlotChunk));
+  }
+  Slot& s = slot(r);
+  s.membership = initial_membership_;
+  s.gate = &set_.add_gate(*this, r, self_, seed, std::move(node));
+  ++resources_;
 }
 
 void NodeRuntime::route(ResourceId r, NodeId from, NodeId to,

@@ -70,8 +70,8 @@ class NodeRuntime final : private GateHost {
   /// grant; an embedder retires state a dead holder abandoned here.
   using RepairHook = std::function<void(Epoch, const fault::Membership&)>;
 
-  /// Node `self` of `set`'s cluster, serving every resource registered
-  /// with `set` so far. Add every resource's gate before the first frame.
+  /// Node `self` of `set`'s cluster. Its slots are sized for the
+  /// resources registered with `set` so far; more grow in place.
   NodeRuntime(GateSet& set, Transport& transport, NodeId self,
               bool recovery_enabled, RepairHook on_repair = {});
 
@@ -79,7 +79,9 @@ class NodeRuntime final : private GateHost {
   NodeRuntime& operator=(const NodeRuntime&) = delete;
 
   /// Registers resource `r`'s gate with this node's instance of the
-  /// initial world.
+  /// initial world. Resources are added in id order; a threaded or TCP
+  /// space adds every one before the first frame, the single-threaded sim
+  /// opens them on demand.
   void add_gate(ResourceId r, std::uint64_t seed,
                 std::unique_ptr<proto::MutexNode> node);
 
@@ -121,6 +123,11 @@ class NodeRuntime final : private GateHost {
   std::uint64_t stale_frames() const {
     return stale_frames_.load(std::memory_order_relaxed);
   }
+  /// Membership of `r`'s target world. Unsynchronized: for a
+  /// single-threaded embedder (the sim's checker).
+  const fault::Membership& membership(ResourceId r) const {
+    return *slot(r).membership;
+  }
 
  private:
   /// A protocol frame parked above the installed world.
@@ -157,9 +164,17 @@ class NodeRuntime final : private GateHost {
     std::uint64_t repair_started_ns = 0;
   };
 
-  Slot& slot(ResourceId r) { return slots_[static_cast<std::size_t>(r)]; }
+  /// Slots added after construction come in chunks of this many.
+  static constexpr std::size_t kSlotChunk = 64;
+
+  Slot& slot(ResourceId r) {
+    const auto i = static_cast<std::size_t>(r);
+    if (i < first_chunk_) return chunks_[0][i];
+    const std::size_t later = i - first_chunk_;
+    return chunks_[later / kSlotChunk + 1][later % kSlotChunk];
+  }
   const Slot& slot(ResourceId r) const {
-    return slots_[static_cast<std::size_t>(r)];
+    return const_cast<NodeRuntime&>(*this).slot(r);
   }
   /// GateHost: counts the message and hands it to the transport.
   void route(ResourceId r, NodeId from, NodeId to, net::MessagePtr message,
@@ -203,8 +218,13 @@ class NodeRuntime final : private GateHost {
   /// Link liveness by original id; self is always up.
   std::unique_ptr<std::atomic<bool>[]> up_;
   std::shared_ptr<const fault::Membership> initial_membership_;
-  const int resources_;
-  std::unique_ptr<Slot[]> slots_;  // by ResourceId
+  /// Slots by ResourceId, in chunks that never move: the first sized for
+  /// the resources registered at construction (null if none), later ones
+  /// kSlotChunk each.
+  const std::size_t first_chunk_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  /// Slots with a gate, ids 0..resources_-1.
+  int resources_ = 0;
   std::atomic<std::uint64_t> messages_sent_{0};
   std::atomic<std::uint64_t> stale_frames_{0};
 };

@@ -1,6 +1,7 @@
-// Crash-fault tolerance of the sim LockSpace: failure detection,
-// quorum-elected token regeneration, epoch fencing of stale tokens, and
-// structure repair over the compact survivor membership.
+// Crash-fault tolerance of the sim LockSpace: failure detection, the
+// runtimes' REPAIR/ACK ballot (quorum-elected token regeneration), epoch
+// fencing of stale tokens, and structure repair over the compact survivor
+// membership.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -31,6 +32,13 @@ NodeId smallest_survivor(int n, NodeId crashed) {
   return kNilNode;
 }
 
+/// The epoch a repair installs: the runtimes' ballot, one round above the
+/// highest fence `prev` the winner has seen, tagged with the winner's id.
+Epoch ballot(Epoch prev, int n, NodeId winner) {
+  const Epoch nodes = static_cast<Epoch>(n);
+  return (prev / nodes + 1) * nodes + static_cast<Epoch>(winner);
+}
+
 TEST(LockSpaceFault, TokenHolderCrashRegeneratesAndServesWaiter) {
   LockSpaceConfig config = fault_config(5);
   LockSpace probe(fault_config(5));
@@ -51,7 +59,7 @@ TEST(LockSpaceFault, TokenHolderCrashRegeneratesAndServesWaiter) {
   ASSERT_TRUE(ticket != nullptr);
   EXPECT_TRUE(ticket->granted);
   EXPECT_EQ(space.entries(r), 1u);
-  EXPECT_EQ(space.epoch(r), 1u);
+  EXPECT_EQ(space.epoch(r), ballot(0, 5, smallest_survivor(5, home)));
   EXPECT_FALSE(space.is_degraded(r));
   EXPECT_EQ(space.membership(r).size(), 4);
   EXPECT_FALSE(space.membership(r).contains(home));
@@ -83,7 +91,8 @@ TEST(LockSpaceFault, EveryAlgorithmSurvivesHomeCrash) {
     ASSERT_TRUE(ticket != nullptr) << algorithm.name;
     EXPECT_TRUE(ticket->granted) << algorithm.name;
     EXPECT_EQ(space.entries(r), 1u) << algorithm.name;
-    EXPECT_EQ(space.epoch(r), 1u) << algorithm.name;
+    EXPECT_EQ(space.epoch(r), ballot(0, 5, smallest_survivor(5, victim)))
+        << algorithm.name;
     space.check_all_invariants();
   }
 }
@@ -145,8 +154,9 @@ TEST(LockSpaceFault, InFlightStaleTokenIsFencedAfterRepair) {
   space.run_to_quiescence();
 
   EXPECT_TRUE(ticket->granted);
-  EXPECT_EQ(space.epoch(r), 1u);
-  EXPECT_GE(space.network().stats().total_fenced, 1u);
+  EXPECT_EQ(space.epoch(r), ballot(0, 5, smallest_survivor(5, bystander)));
+  // The runtimes fence stale frames at admission.
+  EXPECT_GE(space.stale_frames(), 1u);
   EXPECT_EQ(space.entries(r), 1u);
   space.check_all_invariants();
 }
@@ -171,8 +181,12 @@ TEST(LockSpaceFault, RecoveredNodeIsReintegratedAndCanLockAgain) {
   });
   space.run_to_quiescence();
 
-  // Crash repair (epoch 1, 4 nodes) then rejoin repair (epoch 2, 5 nodes).
-  EXPECT_EQ(space.epoch(r), 2u);
+  // Crash repair (4 nodes) then rejoin repair (5 nodes), whose winner is
+  // node 1. A home other than node 1 rejoins below node 1's first ballot;
+  // node 1 as home rejoins fenced below the survivors, which ack it the
+  // fence one above their world, and it announces above that.
+  const Epoch first = ballot(0, 5, smallest_survivor(5, home));
+  EXPECT_EQ(space.epoch(r), ballot(home == 1 ? first + 1 : first, 5, 1));
   EXPECT_EQ(space.membership(r).size(), 5);
   EXPECT_TRUE(space.membership(r).contains(home));
   ASSERT_EQ(transitions.size(), 2u);
@@ -192,13 +206,17 @@ TEST(LockSpaceFault, NoLiveMajorityMeansNoRegeneration) {
   LockSpace space(std::move(config));
   const ResourceId r = space.open("shard");
   space.run_to_quiescence();
-  EXPECT_EQ(space.epoch(r), 0u);
+  // Node 3's crash is detected first: node 1 announces ballot 5 to a view
+  // that still has node 4, which never acks. Node 4's detection then
+  // leaves no majority and node 1 fences one up; no world is installed.
+  EXPECT_EQ(space.epoch(r), ballot(0, 4, 1) + 1);
+  EXPECT_TRUE(space.is_degraded(r));
   EXPECT_EQ(space.alive_count(), 2);
 
   // One node coming back restores the majority; the next repair runs.
   space.recover(4);
   space.run_to_quiescence();
-  EXPECT_EQ(space.epoch(r), 1u);
+  EXPECT_EQ(space.epoch(r), ballot(ballot(0, 4, 1) + 1, 4, 1));
   EXPECT_FALSE(space.is_degraded(r));
   EXPECT_EQ(space.membership(r).size(), 3);
   space.check_all_invariants();
@@ -230,7 +248,7 @@ TEST(LockSpaceFault, CrashInsideCriticalSectionFreesTheResource) {
   EXPECT_EQ(space.occupant(r), kNilNode);
   ASSERT_TRUE(ticket != nullptr);
   EXPECT_TRUE(ticket->granted);
-  EXPECT_EQ(space.epoch(r), 1u);
+  EXPECT_EQ(space.epoch(r), ballot(0, 5, smallest_survivor(5, home)));
   space.check_all_invariants();
 }
 
@@ -269,7 +287,7 @@ TEST(LockSpaceFault, RepairDefersWhileSurvivorHoldsTheLock) {
   EXPECT_TRUE(ticket->granted);
   ASSERT_TRUE(waiting != nullptr);
   EXPECT_TRUE(waiting->granted);
-  EXPECT_EQ(space.epoch(r), 1u);
+  EXPECT_EQ(space.epoch(r), ballot(0, 5, holder));
   EXPECT_EQ(space.entries(r), 2u);
   space.check_all_invariants();
 }

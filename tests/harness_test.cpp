@@ -37,10 +37,16 @@ TEST(Cluster, GrantCallbackFiresOnEntry) {
   EXPECT_EQ(space->occupant(kCs), kNilNode);
 }
 
-TEST(Cluster, DoubleRequestRejected) {
+TEST(Cluster, DoubleRequestQueuesBehindTheFirst) {
   const auto space = line_space(4, 1);
-  space->acquire(kCs, 2);
-  EXPECT_THROW(space->acquire(kCs, 2), std::logic_error);
+  const service::Ticket first = space->acquire(kCs, 2);
+  const service::Ticket second = space->acquire(kCs, 2);
+  space->run_to_quiescence();
+  EXPECT_TRUE(first->granted);
+  EXPECT_FALSE(second->granted);
+  space->release(kCs, 2);
+  EXPECT_TRUE(second->granted);
+  EXPECT_EQ(space->occupant(kCs), 2);
 }
 
 TEST(Cluster, ReleaseByNonOccupantRejected) {

@@ -130,13 +130,19 @@ TEST(LockSpace, DistinctResourcesAdmitConcurrentCriticalSections) {
   space.run_to_quiescence();
 }
 
-TEST(LockSpace, DoubleAcquireFromOneNodeThrows) {
+TEST(LockSpace, SecondAcquireFromOneNodeQueuesBehindTheFirst) {
   LockSpace space(space_config(4));
   const ResourceId r = space.open("solo");
   const NodeId home = space.home_node(r);
-  space.acquire(r, home);
-  EXPECT_THROW(space.acquire(r, home), std::logic_error);
+  const Ticket first = space.acquire(r, home);
+  const Ticket second = space.acquire(r, home);
+  EXPECT_TRUE(first->granted);
+  EXPECT_FALSE(second->granted);
+  EXPECT_EQ(space.local_queue_depth(r, home), 1u);
   space.release(r, home);
+  EXPECT_TRUE(second->granted);
+  space.release(r, home);
+  EXPECT_TRUE(space.is_idle(r, home));
 }
 
 TEST(LockSpace, PerResourceAlgorithmSelection) {
@@ -271,11 +277,10 @@ TEST(LockSpace, ResidentTokenCounterStaysZeroForNonTokenAlgorithms) {
   EXPECT_EQ(space.resident_tokens(r), 0);
 }
 
-// ---- Local grant chaining (queue_local + lease) -----------------------------
+// ---- Local grant chaining (lease) -------------------------------------------
 
 TEST(LockSpace, QueueLocalHandsOffToColocatedWaiterWithoutMessages) {
   LockSpaceConfig config = space_config(4);
-  config.queue_local = true;
   LockSpace space(std::move(config));
   const ResourceId r = space.open("hot");
   const NodeId home = space.home_node(r);
@@ -305,7 +310,6 @@ TEST(LockSpace, LeaseCapYieldsAndPromotesWaitersInFifoOrder) {
   // through the protocol (a lease yield), C chains again off B's fresh
   // window — and the service order is strictly the local arrival order.
   LockSpaceConfig config = space_config(4);
-  config.queue_local = true;
   config.lease.max_chain = 1;
   config.lease.renew_when_no_remote = false;
   LockSpace space(std::move(config));
@@ -337,7 +341,6 @@ TEST(LockSpace, LeaseRenewsAtCapWhenHolderSeesNoRemoteDemand) {
   // cap the lease renews in place, so every hand-off still chains and no
   // pointless protocol round is paid.
   LockSpaceConfig config = space_config(4);
-  config.queue_local = true;
   config.lease.max_chain = 1;  // renewal on (default)
   LockSpace space(std::move(config));
   const ResourceId r = space.open("hot");
@@ -358,7 +361,6 @@ TEST(LockSpace, BlindAlgorithmAlwaysYieldsAtTheCap) {
   // bounded-waiting witness rests on.
   LockSpaceConfig config = space_config(4);
   config.algorithm = baselines::algorithm_by_name("Central");
-  config.queue_local = true;
   config.lease.max_chain = 1;  // renewal on, but must not apply
   LockSpace space(std::move(config));
   const ResourceId r = space.open("hot");
@@ -383,7 +385,6 @@ TEST(LockSpace, RemoteRequesterBreaksTheChainAtTheCap) {
   // table at the cap: the token must leave the node, the remote side gets
   // its turn, and the remaining local waiter is served afterwards.
   LockSpaceConfig config = space_config(4);
-  config.queue_local = true;
   config.lease.max_chain = 1;
   LockSpace space(std::move(config));
   const ResourceId r = space.open("hot");
@@ -417,18 +418,6 @@ TEST(LockSpace, RemoteRequesterBreaksTheChainAtTheCap) {
   EXPECT_EQ(space.entries(r), 4u);
   EXPECT_EQ(space.local_queue_depth(r, home), 0u);
   space.check_all_invariants();
-}
-
-TEST(LockSpace, DoubleAcquireStillThrowsWithoutQueueLocal) {
-  // The historical contract is untouched by default: queue_local is the
-  // explicit opt-in, not a behavior change.
-  LockSpace space(space_config(4));
-  const ResourceId r = space.open("strict");
-  const NodeId home = space.home_node(r);
-  space.acquire(r, home);
-  EXPECT_THROW(space.acquire(r, home), std::logic_error);
-  EXPECT_EQ(space.chained_grants(), 0u);
-  space.release(r, home);
 }
 
 // ---- Space workload ---------------------------------------------------------
