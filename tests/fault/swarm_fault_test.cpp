@@ -47,6 +47,83 @@ TEST(SwarmFault, AllAlgorithmsSurviveCrashAndRejoinAcrossSeeds) {
   }
 }
 
+// ---- Pinned plans for the shipped REPAIR/ACK ballot ------------------------
+// Each plan aims a second fault at a moment of the ballot; every algorithm
+// must stay green across 16 seeds. A failure prints the run's repro line.
+
+/// Runs `plan_for(seed)` for every algorithm over seeds 1..16 with the
+/// shape shared by the ballot plans: 6 nodes, one resource, latency 4..8,
+/// so a REPAIR announced at t lands in [t+4, t+8] and no ack is back
+/// before t+8.
+template <typename Plan>
+void run_ballot_plans(const Plan& plan_for, Tick hold_lo, Tick hold_hi) {
+  for (const proto::Algorithm& algorithm : baselines::all_algorithms()) {
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+      SwarmConfig config;
+      config.algorithm = &algorithm;
+      config.n = 6;
+      config.seed = seed;
+      config.target_entries = 25;
+      config.latency_lo = 4;
+      config.latency_hi = 8;
+      config.hold_lo = hold_lo;
+      config.hold_hi = hold_hi;
+      config.fault_plan = plan_for(seed);
+      const SwarmResult result = run_swarm(config);
+      ASSERT_TRUE(result.ok) << algorithm.name << " seed " << seed << ": "
+                             << result.violation;
+      EXPECT_GE(result.entries, config.target_entries) << result.repro;
+    }
+  }
+}
+
+/// The regenerator the survivors of `crashed` elect.
+NodeId smallest_other(NodeId crashed) { return crashed == 1 ? 2 : 1; }
+
+TEST(SwarmFault, WinnerDiesMidRepair) {
+  // The home crashes at 50; at 75 the survivors detect it and the
+  // smallest announces REPAIR. It dies at 81, while some members have
+  // adopted its ballot and none of their acks is back: the next smallest
+  // must announce above the dead winner's ballot and finish the repair.
+  run_ballot_plans(
+      [](std::uint64_t seed) {
+        const NodeId home = swarm_resource_home(6, seed);
+        fault::FaultPlan plan;
+        plan.crash(50, home).crash(81, smallest_other(home));
+        return plan;
+      },
+      0, 3);
+}
+
+TEST(SwarmFault, RecoverRacesASecondCrash) {
+  // A node rejoins at 120 and another crashes at 122: the rejoin ballot
+  // (detected at 145) and the crash detection (147) overlap.
+  run_ballot_plans(
+      [](std::uint64_t seed) {
+        const NodeId first = static_cast<NodeId>(seed % 6) + 1;
+        const NodeId second = static_cast<NodeId>((seed + 2) % 6) + 1;
+        fault::FaultPlan plan;
+        plan.crash(50, first).recover(120, first).crash(122, second);
+        return plan;
+      },
+      0, 3);
+}
+
+TEST(SwarmFault, CrashDuringAnInstallDeferredOnAHolder) {
+  // Holds of 20-40 ticks keep a survivor inside the CS when the repair of
+  // the crash at 50 arrives (79-83), so its install waits for the unlock;
+  // a second node crashes at 85, while that install is still deferred.
+  run_ballot_plans(
+      [](std::uint64_t seed) {
+        const NodeId first = static_cast<NodeId>(seed % 6) + 1;
+        const NodeId second = static_cast<NodeId>((seed + 3) % 6) + 1;
+        fault::FaultPlan plan;
+        plan.crash(50, first).crash(85, second);
+        return plan;
+      },
+      20, 40);
+}
+
 TEST(SwarmFault, SameSeedAndPlanReproduceTheSameTrace) {
   for (std::uint64_t seed : {7u, 21u}) {
     SwarmConfig config;
