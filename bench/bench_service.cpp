@@ -22,10 +22,12 @@
 //
 // --smoke shrinks both sections' targets so the fast test tier can run
 // the whole program in seconds.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -90,7 +92,11 @@ SimPoint run_sim_point(int nodes, int resources, double zipf_s,
 // hand-off does not — without it the strand pool's in-process hand-off is
 // so cheap that chaining's advantage shrinks to the scheduling overhead.
 // 32 clients per node keeps the hot shard's local queues deep enough for
-// real chains to form at 64 resources.
+// real chains to form at 64 resources. Each point runs `repetitions`
+// times, the grid in turn so slow phases of the host spread over every
+// point; a point reports its median run with the [min, max] entries/s,
+// and each speed-up is the median of the per-repetition ratios with
+// their [min, max].
 
 struct LeasePoint {
   double zipf_s;
@@ -106,6 +112,29 @@ struct LeasePoint {
   /// Jain fairness index over per-client completed entries (1 = perfectly
   /// even, 1/clients = one client took everything).
   double jain_fairness;
+  /// Spread of entries_per_second over the point's repetitions.
+  double entries_per_second_min = 0.0;
+  double entries_per_second_max = 0.0;
+};
+
+/// A median and the [min, max] of the values it was taken from.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread spread_of(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return {values[values.size() / 2], values.front(), values.back()};
+}
+
+/// The sweep's points, and the cap-16 vs cap-0 speed-up per skew.
+struct LeaseSweep {
+  int repetitions = 0;
+  std::vector<LeasePoint> points;
+  Spread uniform_speedup;
+  Spread zipf_speedup;
 };
 
 /// The process-wide closed-window chain-length histogram, copied out of
@@ -199,74 +228,105 @@ LeasePoint run_lease_point(int nodes, int resources, int workers,
           jain};
 }
 
-/// Runs the cap x skew grid, prints the table, and returns the points.
-/// The headline — throughput at the default cap vs chaining off — is
-/// computed per skew by the caller from the returned grid.
-std::vector<LeasePoint> run_lease_sweep(std::uint64_t target_entries) {
+/// Runs the cap x skew grid `repetitions` times, prints the table, and
+/// returns the median points and speed-ups.
+LeaseSweep run_lease_sweep(std::uint64_t target_entries, int repetitions) {
   const int nodes = 8;
   const int resources = 64;
   const int workers = 4;
   const int clients_per_node = 32;
   const unsigned jitter_us = 100;
-  std::vector<LeasePoint> points;
-  metrics::Table table({"skew s", "lease cap", "entries/s", "chained %",
-                        "mean chain", "yields", "fairness", "vs cap 0"});
-  for (const double s : {0.0, 0.99}) {
-    double off = 0.0;
-    for (const int cap : {0, 1, 4, 16, 64, -1}) {
-      const LeasePoint p =
-          run_lease_point(nodes, resources, workers, clients_per_node, s,
-                          cap, jitter_us, target_entries);
-      if (cap == 0) off = p.entries_per_second;
-      points.push_back(p);
-      table.add_row(
-          {metrics::Table::num(s),
-           cap < 0 ? "unbounded" : metrics::Table::num(cap, 0),
-           metrics::Table::num(p.entries_per_second, 0),
-           metrics::Table::num(p.chained_fraction * 100.0, 1),
-           metrics::Table::num(p.mean_chain_len),
-           metrics::Table::num(static_cast<double>(p.lease_yields), 0),
-           metrics::Table::num(p.jain_fairness),
-           metrics::Table::num(p.entries_per_second / off) + "x"});
+  const double skews[] = {0.0, 0.99};
+  const int caps[] = {0, 1, 4, 16, 64, -1};
+  constexpr std::size_t kCaps = std::size(caps);
+  // runs[point][repetition], points in skew-major grid order.
+  std::vector<std::vector<LeasePoint>> runs(std::size(skews) * kCaps);
+  for (int rep = 0; rep < repetitions; ++rep) {
+    std::size_t i = 0;
+    for (const double s : skews) {
+      for (const int cap : caps) {
+        runs[i++].push_back(run_lease_point(nodes, resources, workers,
+                                            clients_per_node, s, cap,
+                                            jitter_us, target_entries));
+      }
     }
   }
+  LeaseSweep sweep;
+  sweep.repetitions = repetitions;
+  // The headline: cap 16 over cap 0, one ratio per repetition.
+  constexpr std::size_t kCap16 = 3;
+  for (std::size_t k = 0; k < std::size(skews); ++k) {
+    std::vector<double> ratios;
+    for (int rep = 0; rep < repetitions; ++rep) {
+      const auto r = static_cast<std::size_t>(rep);
+      ratios.push_back(runs[k * kCaps + kCap16][r].entries_per_second /
+                       runs[k * kCaps][r].entries_per_second);
+    }
+    (k == 0 ? sweep.uniform_speedup : sweep.zipf_speedup) =
+        spread_of(std::move(ratios));
+  }
+  for (std::vector<LeasePoint>& point_runs : runs) {
+    std::sort(point_runs.begin(), point_runs.end(),
+              [](const LeasePoint& a, const LeasePoint& b) {
+                return a.entries_per_second < b.entries_per_second;
+              });
+    LeasePoint median = point_runs[point_runs.size() / 2];
+    median.entries_per_second_min = point_runs.front().entries_per_second;
+    median.entries_per_second_max = point_runs.back().entries_per_second;
+    sweep.points.push_back(median);
+  }
+  metrics::Table table({"skew s", "lease cap", "entries/s", "min", "max",
+                        "chained %", "mean chain", "yields", "fairness",
+                        "vs cap 0"});
+  for (std::size_t i = 0; i < sweep.points.size(); ++i) {
+    const LeasePoint& p = sweep.points[i];
+    const double off = sweep.points[i - i % kCaps].entries_per_second;
+    table.add_row(
+        {metrics::Table::num(p.zipf_s),
+         p.max_chain < 0 ? "unbounded" : metrics::Table::num(p.max_chain, 0),
+         metrics::Table::num(p.entries_per_second, 0),
+         metrics::Table::num(p.entries_per_second_min, 0),
+         metrics::Table::num(p.entries_per_second_max, 0),
+         metrics::Table::num(p.chained_fraction * 100.0, 1),
+         metrics::Table::num(p.mean_chain_len),
+         metrics::Table::num(static_cast<double>(p.lease_yields), 0),
+         metrics::Table::num(p.jain_fairness),
+         metrics::Table::num(p.entries_per_second / off) + "x"});
+  }
   table.print(std::cout);
-  return points;
+  return sweep;
 }
 
-void append_lease_json(std::ostringstream& json,
-                       const std::vector<LeasePoint>& points) {
+void append_lease_json(std::ostringstream& json, const LeaseSweep& sweep) {
   json << "  \"lease_sweep\": {\n"
        << "    \"nodes\": 8, \"resources\": 64, \"workers\": 4, "
-          "\"clients_per_node\": 32, \"jitter_us\": 100, \"hold_us\": 0,\n"
-          "    \"points\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const LeasePoint& p = points[i];
+          "\"clients_per_node\": 32, \"jitter_us\": 100, \"hold_us\": 0, "
+          "\"repetitions\": "
+       << sweep.repetitions << ",\n    \"points\": [\n";
+  for (std::size_t i = 0; i < sweep.points.size(); ++i) {
+    const LeasePoint& p = sweep.points[i];
     json << "      {\"zipf_s\": " << p.zipf_s
          << ", \"max_chain\": " << p.max_chain
          << ", \"entries\": " << p.entries
          << ", \"entries_per_second\": " << p.entries_per_second
+         << ", \"entries_per_second_range\": [" << p.entries_per_second_min
+         << ", " << p.entries_per_second_max << "]"
          << ", \"chained_grants\": " << p.chained_grants
          << ", \"lease_yields\": " << p.lease_yields
          << ", \"chained_fraction\": " << p.chained_fraction
          << ", \"mean_chain_len\": " << p.mean_chain_len
          << ", \"jain_fairness\": " << p.jain_fairness << "}"
-         << (i + 1 < points.size() ? "," : "") << "\n";
+         << (i + 1 < sweep.points.size() ? "," : "") << "\n";
   }
-  double uniform_speedup = 0.0;
-  double zipf_speedup = 0.0;
-  for (const double s : {0.0, 0.99}) {
-    double off = 0.0;
-    double def = 0.0;
-    for (const LeasePoint& p : points) {
-      if (p.zipf_s != s) continue;
-      if (p.max_chain == 0) off = p.entries_per_second;
-      if (p.max_chain == 16) def = p.entries_per_second;
-    }
-    (s == 0.0 ? uniform_speedup : zipf_speedup) = off == 0.0 ? 0.0 : def / off;
-  }
-  json << "    ],\n    \"chaining_speedup_uniform\": " << uniform_speedup
-       << ",\n    \"chaining_speedup_zipf99\": " << zipf_speedup << "\n  }";
+  const auto spread = [&json](const char* name, const Spread& sp) {
+    json << "    \"" << name << "\": " << sp.median << ",\n    \"" << name
+         << "_range\": [" << sp.min << ", " << sp.max << "]";
+  };
+  json << "    ],\n";
+  spread("chaining_speedup_uniform", sweep.uniform_speedup);
+  json << ",\n";
+  spread("chaining_speedup_zipf99", sweep.zipf_speedup);
+  json << "\n  }";
 }
 
 }  // namespace
@@ -274,7 +334,6 @@ void append_lease_json(std::ostringstream& json,
 
 int main(int argc, char** argv) {
   using namespace dmx;
-  using dmx::bench::LeasePoint;
   using dmx::bench::SimPoint;
 
   bool smoke = false;
@@ -325,8 +384,8 @@ int main(int argc, char** argv) {
   // pre-chaining service, the default cap is the shipped release path.
   std::cout << "\nLease sweep: chaining before/after (N=8, 64 resources, "
                "zero hold, saturated)\n\n";
-  const std::vector<LeasePoint> lease_points =
-      bench::run_lease_sweep(smoke ? 400 : 6000);
+  const bench::LeaseSweep lease_sweep =
+      bench::run_lease_sweep(smoke ? 400 : 6000, smoke ? 1 : 5);
   std::cout << "\nShape check: cap 0 is the pre-chaining baseline; the "
                "default cap (16) recovers the\nhand-off cost for "
                "co-located waiters (chained % rises with skew, >= 2x "
@@ -348,7 +407,7 @@ int main(int argc, char** argv) {
            << (i + 1 < sim_points.size() ? "," : "") << "\n";
     }
     json << "  ],\n";
-    bench::append_lease_json(json, lease_points);
+    bench::append_lease_json(json, lease_sweep);
     json << "\n}\n";
     std::ofstream out(out_path);
     out << json.str();

@@ -360,12 +360,15 @@ bool Gate::unlock() {
     // Read here: if a repair fenced this world while we held, the release
     // is minted in the NEW epoch and drops itself, and nothing chains.
     const Epoch tag = fence.load(std::memory_order_acquire);
+    // The chaining inputs matter only with waiters queued; the common
+    // uncontended unlock skips their loads.
+    const bool queued = core_.waiters() > 0;
     out = core_.release(
         release_ns, tag,
-        set_.failed.load(std::memory_order_relaxed) ||
-            unavailable.load(std::memory_order_relaxed),
+        queued && (set_.failed.load(std::memory_order_relaxed) ||
+                   unavailable.load(std::memory_order_relaxed)),
         set_.lease_, res_.algorithm.holder_sees_remote_requests,
-        remote_pending_.load(std::memory_order_relaxed));
+        queued && remote_pending_.load(std::memory_order_relaxed));
     // The node died in its CS and abandon() revoked the hold; the
     // zombie's unlock is a ghost, not an error.
     if (out.kind == AcquireCore::Release::Kind::kGhost) return false;
