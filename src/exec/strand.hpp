@@ -193,15 +193,7 @@ class Strand {
         }
         task = queue_.pop();
       }
-      try {
-        task();
-      } catch (...) {
-        // The caller sees the failure (an inline strand's handler threw);
-        // the strand stays usable for the tasks still queued.
-        std::lock_guard<std::mutex> guard(mutex_);
-        active_ = false;
-        throw;
-      }
+      task();
       ++executed_;
       ++drained;
     }

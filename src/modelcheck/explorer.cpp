@@ -264,8 +264,9 @@ class Explorer {
       actions.push_back({Action::Type::kCrash, config_.crash_node, kNilNode});
     }
     if (state.crashed && !state.regenerated && regen_enabled_) {
-      // Repair defers while a survivor is inside its CS (the LockSpace
-      // semantics): regeneration only fires on an unoccupied resource.
+      // Repair defers while a survivor is inside its CS (the runtime's
+      // install deferred to the holder's unlock): regeneration only fires
+      // on an unoccupied resource.
       bool occupied = false;
       for (NodeId v = 1; v <= config_.n; ++v) {
         occupied |= state.phase[static_cast<std::size_t>(v)] ==
@@ -360,7 +361,8 @@ class Explorer {
   /// fenced (the epoch bump makes them all stale), the survivors restart
   /// from fresh compact-world instances with the token minted at the
   /// winner, and every survivor still waiting re-issues its request in
-  /// ascending id order (the LockSpace repair semantics).
+  /// ascending id order (a one-step model of the runtime's ballot: every
+  /// member installs the regenerated world and re-requests behind it).
   void apply_regenerate(SysState& next) {
     next.regenerated = 1;
     next.channels.clear();

@@ -57,7 +57,7 @@ void Network::send(NodeId from, NodeId to, MessagePtr message) {
 
 void Network::send(ResourceId resource, NodeId from, NodeId to,
                    MessagePtr message) {
-  send(resource, from, to, std::move(message), resource_epoch(resource));
+  send(resource, from, to, std::move(message), Epoch{0});
 }
 
 void Network::send(ResourceId resource, NodeId from, NodeId to,
@@ -181,12 +181,6 @@ void Network::deliver(std::uint32_t slot_index) {
     discard(std::move(env), DiscardReason::kDeadDestination);
     return;
   }
-  // Epoch fence: an envelope from a pre-repair world never reaches a
-  // handler. This is where a lost-then-found stale token dies.
-  if (env.epoch < resource_epoch(env.resource)) {
-    discard(std::move(env), DiscardReason::kStaleEpoch);
-    return;
-  }
   if (observer_ != nullptr) {
     observer_->on_deliver(env);
   }
@@ -197,13 +191,8 @@ void Network::deliver(std::uint32_t slot_index) {
 void Network::discard(Envelope env, DiscardReason reason) {
   MessageStats& rstats =
       resource_stats_[static_cast<std::size_t>(env.resource)];
-  if (reason == DiscardReason::kStaleEpoch) {
-    stats_.total_fenced += 1;
-    rstats.total_fenced += 1;
-  } else {
-    stats_.total_dropped += 1;
-    rstats.total_dropped += 1;
-  }
+  stats_.total_dropped += 1;
+  rstats.total_dropped += 1;
   if (discard_handler_) discard_handler_(env, reason);
 }
 
@@ -271,22 +260,6 @@ bool Network::is_partitioned(NodeId a, NodeId b) const {
   DMX_CHECK_MSG(a >= 1 && a <= n_, "bad node " << a);
   DMX_CHECK_MSG(b >= 1 && b <= n_, "bad node " << b);
   return link_severed_[link_index(a, b)] != 0;
-}
-
-void Network::set_resource_epoch(ResourceId resource, Epoch epoch) {
-  DMX_CHECK_MSG(resource >= 0, "bad resource " << resource);
-  if (static_cast<std::size_t>(resource) >= resource_epoch_.size()) {
-    resource_epoch_.resize(static_cast<std::size_t>(resource) + 1, 0);
-  }
-  resource_epoch_[static_cast<std::size_t>(resource)] = epoch;
-}
-
-Epoch Network::resource_epoch(ResourceId resource) const {
-  if (resource < 0 ||
-      static_cast<std::size_t>(resource) >= resource_epoch_.size()) {
-    return 0;
-  }
-  return resource_epoch_[static_cast<std::size_t>(resource)];
 }
 
 void Network::set_discard_handler(DiscardHandler handler) {

@@ -47,10 +47,10 @@ struct Envelope {
   NodeId to = kNilNode;
   Tick sent_at = 0;
   Tick deliver_at = 0;
-  /// Sender's configuration epoch for this resource. The network fences
-  /// envelopes whose epoch trails the resource's current epoch (see
-  /// set_resource_epoch): a PRIVILEGE minted before a crash-repair must
-  /// never be delivered into the regenerated world.
+  /// Epoch of the sender's world for this resource. The receiving node
+  /// runtime fences it at admission (service/node_runtime.hpp): a
+  /// PRIVILEGE minted before a crash-repair never reaches the
+  /// regenerated world.
   Epoch epoch = 0;
   MessagePtr message;
 };
@@ -60,9 +60,6 @@ struct MessageStats {
   std::uint64_t total_sent = 0;
   std::uint64_t total_dropped = 0;
   std::uint64_t total_duplicated = 0;
-  /// Envelopes discarded at delivery because their epoch trailed the
-  /// resource's current epoch (stale-token fencing).
-  std::uint64_t total_fenced = 0;
   std::uint64_t total_payload_bytes = 0;
   /// Sends per kind, indexed by MessageKind::id(). May be shorter than
   /// MessageKind::registered_count(); missing entries mean zero.
@@ -110,14 +107,11 @@ class Network {
   /// Resource-tagged send: the envelope carries `resource` so the delivery
   /// handler can route it to the right protocol instance, and per-resource
   /// counters are maintained. FIFO is still per ordered (from, to) channel
-  /// across all resources (one physical link per node pair). The envelope
-  /// is stamped with the resource's current epoch.
+  /// across all resources (one physical link per node pair). Equivalent
+  /// to the epoch-stamped send at epoch 0.
   void send(ResourceId resource, NodeId from, NodeId to, MessagePtr message);
-
   /// Epoch-stamped send: as above but the envelope carries the sender's
-  /// own epoch, which may trail the resource's current one — a recovered
-  /// but not yet reintegrated node sends with its stale epoch, and those
-  /// envelopes are fenced at delivery.
+  /// world epoch.
   void send(ResourceId resource, NodeId from, NodeId to, MessagePtr message,
             Epoch epoch);
 
@@ -171,8 +165,7 @@ class Network {
   /// mid-transit). Dead drops count into total_dropped.
   void set_node_down(NodeId v);
 
-  /// Marks node `v` reachable again. In-flight state is unaffected; the
-  /// node is epoch-stale until the harness reintegrates it.
+  /// Marks node `v` reachable again. In-flight state is unaffected.
   void set_node_up(NodeId v);
 
   bool is_node_down(NodeId v) const;
@@ -186,16 +179,8 @@ class Network {
 
   bool is_partitioned(NodeId a, NodeId b) const;
 
-  /// Sets the current epoch of `resource`. Envelopes whose stamped epoch
-  /// trails this are fenced at delivery: discarded, counted into
-  /// total_fenced, and reported to the discard handler — never delivered.
-  /// This is the wire half of "a stale token is never granted".
-  void set_resource_epoch(ResourceId resource, Epoch epoch);
-
-  Epoch resource_epoch(ResourceId resource) const;
-
   /// Why an in-flight envelope was discarded instead of delivered.
-  enum class DiscardReason : std::uint8_t { kDeadDestination, kStaleEpoch };
+  enum class DiscardReason : std::uint8_t { kDeadDestination };
 
   /// Called at the delivery tick of every discarded envelope, after
   /// counters are decremented. The LockSpace hooks this to re-check token
@@ -263,7 +248,6 @@ class Network {
   // probe.
   std::vector<std::uint8_t> node_down_;        // index 1..n, 1 = crashed
   std::vector<std::uint8_t> link_severed_;     // dense (n+1)^2, symmetric
-  std::vector<Epoch> resource_epoch_;          // index by resource, 0 default
   std::vector<std::vector<std::vector<std::size_t>>> in_flight_by_epoch_;
   DiscardHandler discard_handler_;
 };

@@ -31,23 +31,18 @@ NodeRuntime::NodeRuntime(GateSet& set, Transport& transport, NodeId self,
       up_(std::make_unique<std::atomic<bool>[]>(
           static_cast<std::size_t>(n_) + 1)),
       initial_membership_(std::make_shared<const fault::Membership>(
-          fault::Membership::identity(n_))),
-      first_chunk_(static_cast<std::size_t>(set.resource_count())) {
+          fault::Membership::identity(n_))) {
   DMX_CHECK_MSG(self_ >= 1 && self_ <= n_,
                 "self id " << self_ << " outside 1.." << n_);
   for (NodeId v = 1; v <= n_; ++v) {
     up_[static_cast<std::size_t>(v)].store(true, std::memory_order_relaxed);
   }
-  chunks_.push_back(first_chunk_ > 0 ? std::make_unique<Slot[]>(first_chunk_)
-                                     : nullptr);
 }
 
 void NodeRuntime::add_gate(ResourceId r, std::uint64_t seed,
                            std::unique_ptr<proto::MutexNode> node) {
   DMX_CHECK(r == resources_ && r < set_.resource_count());
-  const std::size_t capacity =
-      first_chunk_ + (chunks_.size() - 1) * kSlotChunk;
-  if (static_cast<std::size_t>(r) == capacity) {
+  if (static_cast<std::size_t>(r) == chunks_.size() * kSlotChunk) {
     chunks_.push_back(std::make_unique<Slot[]>(kSlotChunk));
   }
   Slot& s = slot(r);

@@ -2,12 +2,14 @@
 // REPAIR/ACK membership repair, over a narrow Transport seam
 // (service/transport.hpp).
 //
-// The TCP DistributedLockSpace is one runtime per process over an
-// EventLoop; ThreadedLockSpace is N runtimes over an in-process
-// LoopbackTransport, sharing one GateSet (pool, per-resource witness).
-// Either way a runtime sees the rest of the cluster only through frames
-// and link events, so the repair the threaded tests exercise is the one
-// that ships.
+// Three transports carry it: the TCP DistributedLockSpace is one runtime
+// per process over an EventLoop; ThreadedLockSpace is N runtimes over an
+// in-process LoopbackTransport, sharing one GateSet (pool, per-resource
+// witness); the sim LockSpace is N runtimes over a SimTransport on the
+// deterministic network, sharing one inline GateSet. Every way a runtime
+// sees the rest of the cluster only through frames and link events, so
+// the repair the threaded tests and the swarm exercise is the one that
+// ships.
 //
 // Admission: a frame from an id outside 1..n or from this node itself is
 // rejected with a recorded error (the strand also rejects a sender outside
@@ -70,8 +72,7 @@ class NodeRuntime final : private GateHost {
   /// grant; an embedder retires state a dead holder abandoned here.
   using RepairHook = std::function<void(Epoch, const fault::Membership&)>;
 
-  /// Node `self` of `set`'s cluster. Its slots are sized for the
-  /// resources registered with `set` so far; more grow in place.
+  /// Node `self` of `set`'s cluster.
   NodeRuntime(GateSet& set, Transport& transport, NodeId self,
               bool recovery_enabled, RepairHook on_repair = {});
 
@@ -164,14 +165,11 @@ class NodeRuntime final : private GateHost {
     std::uint64_t repair_started_ns = 0;
   };
 
-  /// Slots added after construction come in chunks of this many.
   static constexpr std::size_t kSlotChunk = 64;
 
   Slot& slot(ResourceId r) {
     const auto i = static_cast<std::size_t>(r);
-    if (i < first_chunk_) return chunks_[0][i];
-    const std::size_t later = i - first_chunk_;
-    return chunks_[later / kSlotChunk + 1][later % kSlotChunk];
+    return chunks_[i / kSlotChunk][i % kSlotChunk];
   }
   const Slot& slot(ResourceId r) const {
     return const_cast<NodeRuntime&>(*this).slot(r);
@@ -218,10 +216,7 @@ class NodeRuntime final : private GateHost {
   /// Link liveness by original id; self is always up.
   std::unique_ptr<std::atomic<bool>[]> up_;
   std::shared_ptr<const fault::Membership> initial_membership_;
-  /// Slots by ResourceId, in chunks that never move: the first sized for
-  /// the resources registered at construction (null if none), later ones
-  /// kSlotChunk each.
-  const std::size_t first_chunk_;
+  /// Slots by ResourceId, in chunks of kSlotChunk that never move.
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   /// Slots with a gate, ids 0..resources_-1.
   int resources_ = 0;

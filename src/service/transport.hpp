@@ -9,8 +9,10 @@
 // orderly goodbye (NodeRuntime::on_peers_up when links come back).
 //
 // Implementations: the TCP transport::EventLoop, which encodes frames onto
-// sockets, and ThreadedLockSpace's in-process LoopbackTransport, which
-// hands the MessagePtr to the destination runtime with no encoding. Repair control
+// sockets; ThreadedLockSpace's in-process LoopbackTransport, which hands
+// the MessagePtr to the destination runtime with no encoding; and the sim
+// LockSpace's SimTransport, which stamps it onto the deterministic
+// net::Network for delivery in a later simulator event. Repair control
 // frames (service/repair_messages.hpp) are sent under the sender's repair
 // mutex, so a transport must neither block on them nor deliver them on the
 // sending thread.

@@ -275,33 +275,6 @@ TEST_F(NetTest, DeadNodeEatsInFlightTrafficAtDelivery) {
   EXPECT_EQ(deliveries[0].value, 3);
 }
 
-TEST_F(NetTest, StaleEpochEnvelopesAreFencedAtDelivery) {
-  install(2, std::make_unique<FixedLatency>(10));
-  std::vector<Network::DiscardReason> reasons;
-  network->set_discard_handler(
-      [&](const Envelope&, Network::DiscardReason reason) {
-        reasons.push_back(reason);
-      });
-  // Epoch-0 message departs; the resource moves to epoch 1 mid-flight.
-  network->send(0, 1, 2, std::make_unique<TestMessage>(1, "PRIVILEGE"), 0);
-  EXPECT_EQ(network->in_flight_count(0, Epoch{0}, MessageKind::of("PRIVILEGE")),
-            1u);
-  sim.run_until(5);
-  network->set_resource_epoch(0, 1);
-  network->send(0, 2, 1, std::make_unique<TestMessage>(2, "PRIVILEGE"), 1);
-  sim.run();
-  // The stale envelope was fenced, the current-epoch one delivered.
-  ASSERT_EQ(deliveries.size(), 1u);
-  EXPECT_EQ(deliveries[0].value, 2);
-  ASSERT_EQ(reasons.size(), 1u);
-  EXPECT_EQ(reasons[0], Network::DiscardReason::kStaleEpoch);
-  EXPECT_EQ(network->stats().total_fenced, 1u);
-  EXPECT_EQ(network->in_flight_count(0, Epoch{0}, MessageKind::of("PRIVILEGE")),
-            0u);
-  EXPECT_EQ(network->in_flight_count(0, Epoch{1}, MessageKind::of("PRIVILEGE")),
-            0u);
-}
-
 TEST(LatencyModels, FixedAlwaysSame) {
   Rng rng(1);
   FixedLatency model(7);
