@@ -1,23 +1,19 @@
 // The acquire core: the paper's one-outstanding-request rule for one
-// (resource, node) pair, with the local waiter queue and lease chaining
-// on top, as a plain state machine with no threads, clocks or locks.
+// (resource, node) pair, with the local waiter queue and lease chaining on
+// top, as a plain state machine with no threads, clocks or locks.
 //
-// A node has at most one protocol request in flight. The first local
-// waiter requests; later ones queue behind it in arrival (ticket) order
-// and consume grants strictly in that order. A release that finds local
+// The first local waiter requests; later ones queue behind it and consume
+// grants strictly in arrival (ticket) order. A release that finds local
 // waiters may hand the critical section straight to the next one under a
-// bounded lease (service/lease.hpp) instead of a protocol round. Grants
-// carry the epoch of the world they were minted in and are revalidated
-// against the caller's fence when consumed: a grant from a world a repair
-// has since fenced is discarded, never entered.
+// bounded lease (service/lease.hpp) instead of a protocol round. A grant
+// is revalidated against the caller's fence when consumed: one from a
+// world a repair has since fenced is discarded, never entered.
 //
-// Every call takes what it needs from the outside world as arguments
-// (the current time, the fence, the protocol's remote-request hint) and
-// returns what the caller must do next: issue a request or a release on
-// the protocol strand, wake waiters, or hand off. Two shells drive it
-// under their own serialization: service::Gate's condvar shell for
-// application threads (lock()/unlock()), and the same gate's inline
-// shell for the deterministic sim LockSpace.
+// Each call takes the outside world as arguments (time, fence, the
+// protocol's remote-request hint) and returns what the caller must do
+// next: issue a request or release on the strand, wake waiters, or hand
+// off. service::Gate drives it under its client mutex, from its condvar
+// shell (application threads) or its inline shell (the sim).
 #pragma once
 
 #include <cstdint>
@@ -31,7 +27,7 @@ namespace dmx::service {
 class AcquireCore {
  public:
   /// A new waiter's ticket, and whether the caller must issue the node's
-  /// protocol request for it (nothing requested, held or granted yet).
+  /// protocol request for it.
   struct Arrival {
     std::uint64_t ticket = 0;
     bool request = false;
@@ -50,16 +46,14 @@ class AcquireCore {
       kReleased,
     };
     Kind kind = Kind::kNotHeld;
-    /// kReleased: also issue a request for the waiters left behind.
+    /// kReleased: also request for the waiters left behind.
     bool request = false;
-    /// kReleased: local waiters were still queued when the token went
-    /// back to the protocol (a lease yield).
+    /// kReleased with waiters still queued (a lease yield).
     bool yielded_with_waiters = false;
     /// Lease window closed at this chain length (0 = none closed).
     int ended_chain = 0;
     /// kChained: the chain length after this hand-off.
     int chain_len = 0;
-    /// When the released hold began (0 = unknown).
     std::uint64_t hold_started_ns = 0;
   };
 
@@ -68,37 +62,31 @@ class AcquireCore {
   bool ready(std::uint64_t ticket) const {
     return granted_ && fifo_.front() == ticket;
   }
-  /// Consumes the pending grant for the front ticket, which must be
-  /// ready. False: the grant's world is not the one fenced at `fence`, so
-  /// it is discarded and the ticket keeps waiting (the repair
-  /// re-requests).
+  /// Consumes the pending grant for the front (ready) ticket. False: the
+  /// grant's world is not the one fenced at `fence`; it is discarded and
+  /// the ticket keeps waiting for the repair's re-request.
   bool consume(Epoch fence, std::uint64_t now_ns);
-  /// `ticket` stops waiting (timeout, dead resource, failed space). A
-  /// pending grant stays for the ticket behind it.
+  /// `ticket` stops waiting; a pending grant stays for the ticket behind.
   void leave(std::uint64_t ticket);
-  /// Drops every waiting ticket at once (a node that died in place with
-  /// no threads left to wake).
+  /// Drops every ticket (a node that died with no thread left to wake).
   void leave_all();
 
   /// A protocol grant minted in world `epoch`. True: a waiter will
-  /// consume it (wake the waiters). False: nobody waits any more; the
-  /// caller releases it straight back.
+  /// consume it. False: nobody waits; the caller releases it back.
   bool grant(Epoch epoch);
-  /// Behind a world reset: whether the node must request again, because
-  /// waiters are parked or a request was posted and fenced.
+  /// Behind a world reset: whether the node must request again.
   bool rerequest();
 
-  /// Leaves the critical section at `now_ns`. `fence` is the caller's
-  /// current fence epoch, `blocked` whether the space failed or the
-  /// resource is unavailable; the last two arguments are the algorithm's
-  /// holder-visibility guarantee and the protocol's current
+  /// Leaves the critical section at `now_ns`. `blocked`: the space failed
+  /// or the resource is unavailable. The last two arguments are the
+  /// algorithm's holder-visibility guarantee and the protocol's
   /// has_remote_request() hint (see lease.hpp).
   Release release(std::uint64_t now_ns, Epoch fence, bool blocked,
                   const LeaseConfig& lease, bool holder_sees_remote,
                   bool remote_pending);
 
-  /// The node died in place: the hold, any pending grant and the request
-  /// are revoked. Returns whether a hold was revoked.
+  /// The node died in place: revokes the hold, any pending grant and the
+  /// request; returns whether a hold was revoked.
   bool abandon();
 
   bool holding() const { return held_; }
@@ -110,22 +98,17 @@ class AcquireCore {
   /// A grant (protocol or chained) is pending, minted in granted_epoch_.
   bool granted_ = false;
   Epoch granted_epoch_ = 0;
-  /// Whether the pending grant rode the local chain (keeps the lease
-  /// window open) or came from the protocol (opens a fresh window).
+  /// The pending grant rode the local chain (its lease window stays open).
   bool grant_via_chain_ = false;
-  /// Arrival-order tickets of the waiters: a grant is consumed only by
-  /// the waiter whose ticket is at the front.
-  exec::Ring<std::uint64_t> fifo_;
+  exec::Ring<std::uint64_t> fifo_;  // waiters' tickets, arrival order
   std::uint64_t ticket_seq_ = 0;
   bool held_ = false;
-  /// Epoch the holder's grant was minted in; a release chains only while
-  /// it still matches the fence (no repair since).
+  /// The holder's grant's world; a release chains only while the fence
+  /// still matches it (no repair since).
   Epoch held_epoch_ = 0;
   bool abandoned_ = false;
-  /// When the holder entered (0 = not held).
   std::uint64_t hold_started_ns_ = 0;
-  /// Consecutive local hand-offs in the current lease window, and when
-  /// the window opened (its first grant).
+  /// Local hand-offs in the current lease window, and when it opened.
   int chain_len_ = 0;
   std::uint64_t chain_started_ns_ = 0;
 };

@@ -2,18 +2,13 @@
 // strand, plus the bridge that maps many application threads onto that
 // node's one outstanding protocol request.
 //
-// Neilsen–Mizuno lets a node have at most one request in flight, and a
-// node that already holds the token enters at once. The gate keeps both
-// promises for any number of clients through its acquire core
-// (service/acquire_core.hpp: ticket FIFO, grant revalidation, lease
-// chaining, the abandon rule). Around the core the gate is a thin shell,
-// one of two: lock()/unlock() park application threads on a condvar; a
-// set built with a GrantSink (the deterministic sim) has no threads, so
-// acquire_inline() queues a waiter and every grant ready for the front
-// waiter is consumed on the spot and reported to the sink. A
-// service::NodeRuntime owns one gate per resource for its node: the TCP
-// DistributedLockSpace runs one runtime per process, ThreadedLockSpace
-// and the sim LockSpace run one runtime per node in process.
+// The node's one-request rule lives in its acquire core
+// (service/acquire_core.hpp); the gate is a thin shell around it, one of
+// two: lock()/unlock() park application threads on a condvar; a set built
+// with a GrantSink (the sim) has no threads, so acquire_inline() queues a
+// waiter and a grant ready for the front waiter is consumed on the spot
+// and reported to the sink. A service::NodeRuntime owns one gate per
+// resource for its node.
 // Every gate of a resource shares its GateResource (name, algorithm,
 // interned metric ids and the occupancy witness); what is per node — the
 // fence epoch and the unavailable flag — lives on the gate, because each
@@ -60,11 +55,8 @@
 // spread's acquires parked. client.parked_waits counts acquires that
 // slept at least once; client.handoff_yields counts the yields.
 //
-// Inline shell: the gates' strands are inline (exec/strand.hpp), so a
-// request, delivery or release runs to completion inside the call that
-// posts it, on the simulator thread. A handler's failure is rethrown to
-// that caller instead of parking it in first_error(): the sim reports
-// violations as exceptions.
+// Inline shell: its strands are inline (exec/strand.hpp), and a handler's
+// failure is thrown to the caller instead of parked in first_error().
 //
 // Lock order: a runtime's repair mutex before any gate's client mutex,
 // never the reverse.

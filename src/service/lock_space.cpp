@@ -57,7 +57,6 @@ LockSpace::LockSpace(LockSpaceConfig config)
         on_discard(env, reason);
       });
   node_up_.assign(static_cast<std::size_t>(config_.n) + 1, 1);
-  identity_ = fault::Membership::identity(config_.n);
   nodes_.reserve(static_cast<std::size_t>(config_.n));
   for (NodeId v = 1; v <= config_.n; ++v) {
     nodes_.push_back(std::make_unique<SimTransport>(*this, v));
@@ -414,12 +413,9 @@ bool LockSpace::is_degraded(ResourceId r) const {
 
 const fault::Membership& LockSpace::membership(ResourceId r) const {
   resource(r);
-  for (NodeId v = 1; v <= config_.n; ++v) {
-    if (node_up_[static_cast<std::size_t>(v)]) {
-      return runtime(v).membership(r);
-    }
-  }
-  return identity_;
+  NodeId v = 1;
+  while (v < config_.n && !node_up_[static_cast<std::size_t>(v)]) ++v;
+  return runtime(v).membership(r);
 }
 
 void LockSpace::deliver(net::Envelope& env) {
@@ -454,12 +450,8 @@ void LockSpace::crash(NodeId v) {
   node_up_[static_cast<std::size_t>(v)] = 0;
   network_->set_node_down(v);
   // The runtime dies in place: every resource fenced and unavailable at
-  // v, a hold revoked. A dead node hears nobody.
-  NodeRuntime& dead = runtime(v);
-  dead.abandon();
-  for (NodeId u = 1; u <= config_.n; ++u) {
-    if (u != v) dead.on_peer_down(u);
-  }
+  // v, a hold revoked, every link down.
+  runtime(v).abandon();
   for (ResourceId r = 0; r < resource_count(); ++r) {
     Resource& res = resource(r);
     // Waiting tickets die with their node: they never grant.

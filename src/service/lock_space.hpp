@@ -295,7 +295,6 @@ class LockSpace final : private GrantSink {
   /// True once any fault is scheduled or injected; gates the O(n)
   /// fault-aware checks so the no-fault configuration stays O(1).
   bool fault_active_ = false;
-  fault::Membership identity_;
   /// Open world epochs, scratch for check_invariants.
   std::vector<Epoch> open_epochs_;
 };

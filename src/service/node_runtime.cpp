@@ -417,6 +417,10 @@ void NodeRuntime::unlock(ResourceId r) {
 }
 
 void NodeRuntime::abandon() {
+  std::vector<NodeId> peers;
+  for (NodeId v = 1; v <= n_; ++v) {
+    if (v != self_) peers.push_back(v);
+  }
   for (ResourceId r = 0; r < resources_; ++r) {
     Slot& s = slot(r);
     std::lock_guard<std::mutex> guard(s.mutex);
@@ -424,6 +428,8 @@ void NodeRuntime::abandon() {
     s.gate->mark_unavailable();
     s.gate->abandon();
   }
+  // A dead node hears nobody.
+  set_links(peers, false);
 }
 
 void NodeRuntime::debug_fence_epoch(ResourceId r) {

@@ -105,7 +105,8 @@ class NodeRuntime final : private GateHost {
   /// Leaves the critical section and completes a repair deferred on it.
   void unlock(ResourceId r);
   /// This node died in place: every resource is fenced and unavailable,
-  /// and client state is cleared (a holder's later unlock is a ghost).
+  /// client state is cleared (a holder's later unlock is a ghost), and
+  /// every link is down in its view.
   void abandon();
   /// TEST HOOK: fences resource `r` one epoch up with no world behind it
   /// and wakes parked clients — the repair wake-up in isolation. The

@@ -139,9 +139,6 @@ void ThreadedLockSpace::crash(NodeId v) {
   // survivor hears of the crash and can install a regenerated world.
   runtime(v).abandon();
   for (NodeId u = 1; u <= config_.n; ++u) {
-    if (u != v && is_node_up(u)) runtime(v).on_peer_down(u);
-  }
-  for (NodeId u = 1; u <= config_.n; ++u) {
     if (u != v && is_node_up(u)) runtime(u).on_peer_down(v);
   }
 }

@@ -157,7 +157,7 @@ TEST(SwarmFault, CrashDeterminismGolden) {
   config.fault_plan.crash(40, 2).recover(300, 2);
   const SwarmResult result = run_swarm(config);
   ASSERT_TRUE(result.ok) << result.violation;
-  EXPECT_EQ(result.trace_hash, 0x42f53cd3efc9bd05ULL)
+  EXPECT_EQ(result.trace_hash, 0xb87dc9dc0e8c1a42ULL)
       << "trace hash 0x" << std::hex << result.trace_hash;
 }
 
