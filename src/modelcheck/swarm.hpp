@@ -78,7 +78,7 @@ struct SwarmConfig {
   /// already has that resource outstanding, so acquires queue locally and
   /// co-located waiter chains form — the precondition for lease chaining.
   bool queue_local = false;
-  /// Local grant-chaining lease policy applied when queue_local is on.
+  /// The space's local grant-chaining lease policy.
   service::LeaseConfig lease;
   /// When > 0, the run fails if any request→grant wait exceeds this many
   /// virtual ticks — the bounded-waiting check under chaining (0 = off).

@@ -45,12 +45,10 @@ struct SpaceWorkloadConfig {
   Tick hold_lo = 0;
   Tick hold_hi = 0;
   std::uint64_t seed = 42;
-  /// When true (requires a LockSpace opened with queue_local), a client
-  /// keeps its Zipf draw even if the node already has that resource
-  /// outstanding — the acquire queues locally, forming the co-located
-  /// waiter chains the lease policy serves. When false a busy draw falls
-  /// through to the next rank (the historical behavior; local queues
-  /// never form).
+  /// When true, a client keeps its Zipf draw even if the node already has
+  /// that resource outstanding — the acquire queues locally, forming the
+  /// co-located waiter chains the lease policy serves. When false a busy
+  /// draw falls through to the next rank (local queues never form).
   bool queue_local = false;
 };
 
