@@ -219,7 +219,7 @@ void LockSpace::release(ResourceId r, NodeId v) {
   DMX_CHECK(v >= 1 && v <= config_.n);
   if (fault_active_ && (res.occupant != v ||
                         !node_up_[static_cast<std::size_t>(v)])) {
-    // The node died in the CS and its occupancy was voided; the driver's
+    // The node died in the CS and its occupancy was voided; the caller's
     // scheduled release is a ghost. Ignore it.
     return;
   }
