@@ -17,41 +17,10 @@ namespace dmx::modelcheck {
 namespace {
 
 /// FNV-1a 64-bit over the network event stream, mirroring the determinism
-/// golden tests: tag, envelope id, route, ticks, message description.
+/// golden tests: tag, envelope id, resource, route, ticks, message
+/// description. The resource id is mixed in so two runs that route the
+/// same bytes to different resources differ.
 class SwarmTraceHasher final : public net::NetworkObserver {
- public:
-  void on_send(const net::Envelope& env) override { mix('S', env); }
-  void on_deliver(const net::Envelope& env) override { mix('D', env); }
-  std::uint64_t digest() const { return hash_; }
-
- private:
-  void mix(char tag, const net::Envelope& env) {
-    byte(static_cast<unsigned char>(tag));
-    u64(env.id);
-    u64(static_cast<std::uint64_t>(env.from));
-    u64(static_cast<std::uint64_t>(env.to));
-    u64(static_cast<std::uint64_t>(env.sent_at));
-    u64(static_cast<std::uint64_t>(env.deliver_at));
-    for (const char c : env.message->describe()) {
-      byte(static_cast<unsigned char>(c));
-    }
-  }
-  void byte(unsigned char b) {
-    hash_ ^= b;
-    hash_ *= 1099511628211ULL;
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
-  }
-
-  std::uint64_t hash_ = 14695981039346656037ULL;
-};
-
-/// Multi-resource variant: the resource id joins the hash (two runs that
-/// route the same bytes to different resources must differ). Kept separate
-/// from SwarmTraceHasher so the single-resource pinned goldens are
-/// untouched.
-class SpaceTraceHasher final : public net::NetworkObserver {
  public:
   void on_send(const net::Envelope& env) override { mix('S', env); }
   void on_deliver(const net::Envelope& env) override { mix('D', env); }
@@ -166,9 +135,8 @@ SwarmResult run_swarm(const SwarmConfig& config) {
   DMX_CHECK(config.latency_lo >= 1 && config.latency_lo <= config.latency_hi);
   DMX_CHECK(config.resources >= 1);
   // A single fault-free resource runs the paper's single-CS closed loop
-  // (workload::run_workload) and keeps its own trace hash, whose goldens
-  // are pinned; several resources or a crash plan run the multi-resource
-  // Zipf workload.
+  // (workload::run_workload); several resources or a crash plan run the
+  // multi-resource Zipf workload.
   const bool single = config.resources == 1 && config.fault_plan.empty();
 
   service::LockSpaceConfig space_config;
@@ -190,13 +158,8 @@ SwarmResult run_swarm(const SwarmConfig& config) {
   result.repro = make_repro(config);
   service::LockSpace space(std::move(space_config));
 
-  SwarmTraceHasher single_hasher;
-  SpaceTraceHasher space_hasher;
-  if (single) {
-    space.network().set_observer(&single_hasher);
-  } else {
-    space.network().set_observer(&space_hasher);
-  }
+  SwarmTraceHasher hasher;
+  space.network().set_observer(&hasher);
 
   // Re-check the algorithm's structural invariants after every event, on
   // top of the space's built-in CS-exclusivity and token-uniqueness
@@ -264,7 +227,7 @@ SwarmResult run_swarm(const SwarmConfig& config) {
     result.violation = error.what();
   }
   result.messages = space.network().stats().total_sent;
-  result.trace_hash = single ? single_hasher.digest() : space_hasher.digest();
+  result.trace_hash = hasher.digest();
 
   if (result.violation.empty()) {
     for (ResourceId r = 0; r < space.resource_count(); ++r) {
