@@ -37,7 +37,10 @@
 // queue, on the thread that claimed it — post() included, with no
 // trampoline. The deterministic sim runs its gates this way on the
 // simulator thread; a task that posts to its own strand queues behind
-// itself exactly as on the pool.
+// itself exactly as on the pool. While a Strand::Hold is open on the
+// thread, a claimed inline activation waits instead, and the hold's run()
+// runs the waiting ones in claim order: a caller opens one around a lock
+// that the tasks (or the callbacks they reach) may take again.
 //
 // Accounting: exec.strand_activations counts every activation, pool- or
 // caller-run; ExecutorStats::tasks_executed counts pool tasks only.
@@ -105,7 +108,7 @@ class Strand {
   void post(Task task) {
     if (!enqueue(std::move(task))) return;
     if (executor_ == nullptr) {
-      run();
+      run_inline();
       return;
     }
     Trampoline& t = trampoline_;
@@ -135,7 +138,7 @@ class Strand {
   /// caller must hold no lock a task may take; tasks must not call it.
   void run_claimed() {
     if (executor_ == nullptr) {
-      run();
+      run_inline();
       return;
     }
     Trampoline& t = trampoline_;
@@ -150,7 +153,7 @@ class Strand {
   /// runs it here).
   void submit_claimed() {
     if (executor_ == nullptr) {
-      run();
+      run_inline();
       return;
     }
     executor_->submit(&pool_task_);
@@ -160,7 +163,60 @@ class Strand {
   /// meaningful once the strand is quiescent).
   std::uint64_t executed() const { return executed_; }
 
+  /// Defers the inline activations claimed on this thread while open (see
+  /// the header); pool strands are unaffected. Holds nest: run() of the
+  /// last one open runs every waiting activation. A hold left by an
+  /// exception drops them, so no later hold runs a strand that died with
+  /// its space.
+  class Hold {
+   public:
+    Hold() { ++held_.depth; }
+    ~Hold() {
+      if (!ran_ && --held_.depth == 0) held_.head = held_.tail = nullptr;
+    }
+    Hold(const Hold&) = delete;
+    Hold& operator=(const Hold&) = delete;
+
+    void run() {
+      ran_ = true;
+      if (--held_.depth > 0) return;
+      try {
+        while (Strand* strand = held_.head) {
+          held_.head = strand->next_held_;
+          if (held_.head == nullptr) held_.tail = nullptr;
+          strand->next_held_ = nullptr;
+          strand->run();
+        }
+      } catch (...) {
+        held_.head = held_.tail = nullptr;
+        throw;
+      }
+    }
+
+   private:
+    bool ran_ = false;
+  };
+
  private:
+  /// Inline activations claimed on this thread while a Hold is open, in
+  /// claim order, linked through Strand::next_held_.
+  struct Held {
+    int depth = 0;
+    Strand* head = nullptr;
+    Strand* tail = nullptr;
+  };
+  static thread_local Held held_;
+
+  void run_inline() {
+    Held& h = held_;
+    if (h.depth == 0) {
+      run();
+      return;
+    }
+    (h.tail != nullptr ? h.tail->next_held_ : h.head) = this;
+    h.tail = this;
+  }
+
   /// Per-thread claims taken by posts inside a caller-run activation.
   /// Every claim uses up budget, so the FIFO never outgrows it.
   struct Trampoline {
@@ -212,8 +268,10 @@ class Strand {
   Ring<Task> queue_;
   bool active_ = false;
   std::uint64_t executed_ = 0;  // strand-confined
+  Strand* next_held_ = nullptr;  // inline only; see Held
 };
 
 inline thread_local Strand::Trampoline Strand::trampoline_{};
+inline thread_local Strand::Held Strand::held_{};
 
 }  // namespace dmx::exec

@@ -319,10 +319,11 @@ void LockSpace::check_invariants(ResourceId r) {
         live += network_->in_flight_count(r, e, kind);
       }
     }
-    if (config_.recovery_enabled && !settled(r)) {
-      // Between fault and repair the token may be lost, never duplicated.
-      // With recovery disabled the check stays strict, so a lost token is
-      // CAUGHT, not excused.
+    if (is_degraded(r)) {
+      // Between fault and repair, or once a live node has fenced the
+      // resource for good, the token may be lost, never duplicated. With
+      // recovery disabled the check stays strict until then, so a token
+      // that dies with its holder is CAUGHT, not excused.
       DMX_CHECK_MSG(live <= 1, "resource "
                                    << directory_.name(r)
                                    << " live token count is " << live
@@ -408,7 +409,16 @@ bool LockSpace::settled(ResourceId r) const {
 
 bool LockSpace::is_degraded(ResourceId r) const {
   resource(r);
-  return fault_active_ && !settled(r);
+  if (!fault_active_) return false;
+  if (config_.recovery_enabled) return !settled(r);
+  // Nothing is ever repaired: a live node leaves its world only when its
+  // runtime fences it for good (the home died, or no live majority).
+  for (NodeId v = 1; v <= config_.n; ++v) {
+    if (!node_up_[static_cast<std::size_t>(v)]) continue;
+    const Gate& g = gate(r, v);
+    if (g.world() != g.fence.load(std::memory_order_relaxed)) return true;
+  }
+  return false;
 }
 
 const fault::Membership& LockSpace::membership(ResourceId r) const {

@@ -224,9 +224,12 @@ class LockSpace final : private GrantSink {
   /// Highest fence epoch of resource `r` over the live nodes (0 until the
   /// first repair; a repair's epoch is its ballot, round * n + winner).
   Epoch epoch(ResourceId r) const;
-  /// True from a fault until every live node runs one world of `r` that
-  /// spans exactly the live set; a degraded token resource may
-  /// transiently have zero live tokens.
+  /// With recovery enabled: true from a fault until every live node runs
+  /// one world of `r` that spans exactly the live set; a degraded token
+  /// resource may transiently have zero live tokens. With recovery
+  /// disabled: true once a live node has fenced `r` for good (its home
+  /// died, or no live majority is left); until then the old world runs on
+  /// and is checked in full.
   bool is_degraded(ResourceId r) const;
   /// Compact survivor membership of `r`'s current world.
   const fault::Membership& membership(ResourceId r) const;

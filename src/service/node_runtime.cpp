@@ -42,10 +42,7 @@ NodeRuntime::NodeRuntime(GateSet& set, Transport& transport, NodeId self,
 void NodeRuntime::add_gate(ResourceId r, std::uint64_t seed,
                            std::unique_ptr<proto::MutexNode> node) {
   DMX_CHECK(r == resources_ && r < set_.resource_count());
-  if (static_cast<std::size_t>(r) == chunks_.size() * kSlotChunk) {
-    chunks_.push_back(std::make_unique<Slot[]>(kSlotChunk));
-  }
-  Slot& s = slot(r);
+  Slot& s = slots_.emplace_back();
   s.membership = initial_membership_;
   s.gate = &set_.add_gate(*this, r, self_, seed, std::move(node));
   ++resources_;
@@ -78,16 +75,22 @@ void NodeRuntime::on_frame(NodeId from, Epoch epoch, ResourceId r,
   }
   // Repair control frames are ABOUT the epoch transition, so they bypass
   // the fence that governs protocol traffic.
+  Slot& s = slot(r);
   if (message->kind_id() == RepairMessage::interned_kind()) {
-    handle_repair(from, r, static_cast<const RepairMessage&>(*message));
+    locked(s, [&] {
+      handle_repair_locked(from, r, s,
+                           static_cast<const RepairMessage&>(*message));
+    });
     return;
   }
   if (message->kind_id() == RepairAckMessage::interned_kind()) {
-    handle_repair_ack(from, r, static_cast<const RepairAckMessage&>(*message));
+    locked(s, [&] {
+      handle_repair_ack_locked(from, r, s,
+                               static_cast<const RepairAckMessage&>(*message));
+    });
     return;
   }
 
-  Slot& s = slot(r);
   // The common case, a frame of the installed, unfenced world, needs no
   // lock: if a repair fences that world meanwhile, its reset reaches the
   // strand first or the frame runs as if it had arrived before the
@@ -96,26 +99,27 @@ void NodeRuntime::on_frame(NodeId from, Epoch epoch, ResourceId r,
     s.gate->post_deliver(epoch, from, std::move(message));
     return;
   }
-  std::lock_guard<std::mutex> guard(s.mutex);
-  if (epoch < s.target) {
-    // Old-world traffic after the fence went up: the sender had not yet
-    // adopted the repair.
-    stale_frames_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (epoch > s.installed) {
-    // From a world not installed here yet (its REPAIR is in flight, or
-    // the install awaits acks): park it behind the reset to come.
-    if (s.queued.size() >= kMaxQueuedFrames) {
-      set_.record_error("parked frame queue overflow on resource " +
-                        set_.resource(r).name + " at node " +
-                        std::to_string(self_));
+  locked(s, [&] {
+    if (epoch < s.target) {
+      // Old-world traffic after the fence went up: the sender had not yet
+      // adopted the repair.
+      stale_frames_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    s.queued.push_back(QueuedFrame{epoch, from, std::move(message)});
-    return;
-  }
-  s.gate->post_deliver(epoch, from, std::move(message));
+    if (epoch > s.installed) {
+      // From a world not installed here yet (its REPAIR is in flight, or
+      // the install awaits acks): park it behind the reset to come.
+      if (s.queued.size() >= kMaxQueuedFrames) {
+        set_.record_error("parked frame queue overflow on resource " +
+                          set_.resource(r).name + " at node " +
+                          std::to_string(self_));
+        return;
+      }
+      s.queued.push_back(QueuedFrame{epoch, from, std::move(message)});
+      return;
+    }
+    s.gate->post_deliver(epoch, from, std::move(message));
+  });
 }
 
 // --- Liveness ---------------------------------------------------------------
@@ -143,8 +147,7 @@ void NodeRuntime::set_links(const std::vector<NodeId>& peers, bool up) {
   if (!changed) return;
   for (ResourceId r = 0; r < resources_; ++r) {
     Slot& s = slot(r);
-    std::lock_guard<std::mutex> guard(s.mutex);
-    reconcile_locked(r, s, /*at_least=*/0);
+    locked(s, [&] { reconcile_locked(r, s, /*at_least=*/0); });
   }
 }
 
@@ -270,10 +273,8 @@ void NodeRuntime::announce_locked(ResourceId r, Slot& s,
   try_install_locked(r, s);
 }
 
-void NodeRuntime::handle_repair(NodeId from, ResourceId r,
-                                const RepairMessage& message) {
-  Slot& s = slot(r);
-  std::lock_guard<std::mutex> guard(s.mutex);
+void NodeRuntime::handle_repair_locked(NodeId from, ResourceId r, Slot& s,
+                                       const RepairMessage& message) {
   if (message.winner() != from) {
     set_.record_error("repair from node " + std::to_string(from) +
                       " names winner " + std::to_string(message.winner()));
@@ -317,10 +318,9 @@ void NodeRuntime::handle_repair(NodeId from, ResourceId r,
   s.gate->wake();
 }
 
-void NodeRuntime::handle_repair_ack(NodeId from, ResourceId r,
-                                    const RepairAckMessage& message) {
-  Slot& s = slot(r);
-  std::lock_guard<std::mutex> guard(s.mutex);
+void NodeRuntime::handle_repair_ack_locked(NodeId from, ResourceId r,
+                                           Slot& s,
+                                           const RepairAckMessage& message) {
   if (s.winner != self_) return;
   if (message.epoch() > s.target) {
     // The acker is fenced past us (a predecessor winner announced higher
@@ -405,7 +405,14 @@ void NodeRuntime::unlock(ResourceId r) {
   if (!s.gate->unlock()) return;
   // Complete a repair deferred on this holder. Taken after the gate's
   // client mutex is released: repair takes it under s.mutex.
-  std::lock_guard<std::mutex> guard(s.mutex);
+  {
+    std::lock_guard<std::mutex> guard(s.mutex);
+    if (!s.await_unlock) return;
+  }
+  locked(s, [&] { finish_deferred_locked(r, s); });
+}
+
+void NodeRuntime::finish_deferred_locked(ResourceId r, Slot& s) {
   if (!s.await_unlock) return;
   s.await_unlock = false;
   if (s.winner == self_) {
@@ -423,10 +430,11 @@ void NodeRuntime::abandon() {
   }
   for (ResourceId r = 0; r < resources_; ++r) {
     Slot& s = slot(r);
-    std::lock_guard<std::mutex> guard(s.mutex);
-    fence_locked(s);
-    s.gate->mark_unavailable();
-    s.gate->abandon();
+    locked(s, [&] {
+      fence_locked(s);
+      s.gate->mark_unavailable();
+      s.gate->abandon();
+    });
   }
   // A dead node hears nobody.
   set_links(peers, false);
@@ -434,8 +442,7 @@ void NodeRuntime::abandon() {
 
 void NodeRuntime::debug_fence_epoch(ResourceId r) {
   Slot& s = slot(r);
-  std::lock_guard<std::mutex> guard(s.mutex);
-  fence_locked(s);
+  locked(s, [&] { fence_locked(s); });
 }
 
 }  // namespace dmx::service

@@ -45,16 +45,22 @@
 //     flag too.
 //
 // Lock order: a resource's repair mutex before its gate's client mutex.
+// Over inline strands (the sim) a post runs its task on the spot, so the
+// runtime holds such activations back (exec::Strand::Hold) until it has
+// dropped the repair mutex: the install's re-request may grant, and the
+// client's grant callback may unlock or crash this node at once.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "common/types.hpp"
+#include "exec/strand.hpp"
 #include "fault/membership.hpp"
 #include "net/message.hpp"
 #include "service/gate.hpp"
@@ -166,14 +172,21 @@ class NodeRuntime final : private GateHost {
     std::uint64_t repair_started_ns = 0;
   };
 
-  static constexpr std::size_t kSlotChunk = 64;
-
-  Slot& slot(ResourceId r) {
-    const auto i = static_cast<std::size_t>(r);
-    return chunks_[i / kSlotChunk][i % kSlotChunk];
-  }
+  Slot& slot(ResourceId r) { return slots_[static_cast<std::size_t>(r)]; }
   const Slot& slot(ResourceId r) const {
-    return const_cast<NodeRuntime&>(*this).slot(r);
+    return slots_[static_cast<std::size_t>(r)];
+  }
+  /// Runs `f` under s.mutex. The inline strand activations it claims run
+  /// only after the mutex is dropped: a grant they make reaches the
+  /// client, which may unlock (and so take s.mutex) on the spot.
+  template <typename F>
+  void locked(Slot& s, F&& f) {
+    exec::Strand::Hold hold;
+    {
+      std::lock_guard<std::mutex> guard(s.mutex);
+      f();
+    }
+    hold.run();
   }
   /// GateHost: counts the message and hands it to the transport.
   void route(ResourceId r, NodeId from, NodeId to, net::MessagePtr message,
@@ -199,9 +212,12 @@ class NodeRuntime final : private GateHost {
   /// Winner: fences at a fresh ballot above `at_least` and announces it.
   void announce_locked(ResourceId r, Slot& s,
                        const std::vector<std::uint8_t>& up, Epoch at_least);
-  void handle_repair(NodeId from, ResourceId r, const RepairMessage& message);
-  void handle_repair_ack(NodeId from, ResourceId r,
-                         const RepairAckMessage& message);
+  void handle_repair_locked(NodeId from, ResourceId r, Slot& s,
+                            const RepairMessage& message);
+  void handle_repair_ack_locked(NodeId from, ResourceId r, Slot& s,
+                                const RepairAckMessage& message);
+  /// Completes a repair deferred on this node's holder, now gone.
+  void finish_deferred_locked(ResourceId r, Slot& s);
   /// Winner: installs iff every ack arrived and nobody holds the old CS.
   void try_install_locked(ResourceId r, Slot& s);
   /// Posts the target world (reset, re-request, parked-frame drain).
@@ -217,8 +233,8 @@ class NodeRuntime final : private GateHost {
   /// Link liveness by original id; self is always up.
   std::unique_ptr<std::atomic<bool>[]> up_;
   std::shared_ptr<const fault::Membership> initial_membership_;
-  /// Slots by ResourceId, in chunks of kSlotChunk that never move.
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  /// Slots by ResourceId; a deque never moves them as it grows.
+  std::deque<Slot> slots_;
   /// Slots with a gate, ids 0..resources_-1.
   int resources_ = 0;
   std::atomic<std::uint64_t> messages_sent_{0};

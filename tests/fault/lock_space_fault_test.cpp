@@ -327,5 +327,120 @@ TEST(LockSpaceFault, WaitingNodeCrashVoidsItsTicket) {
   space.check_all_invariants();
 }
 
+TEST(LockSpaceFault, GrantCallbackReleasesInsideTheWinnersInstall) {
+  // The winner waits when the home dies. For the token algorithms its
+  // last ACK installs the world, whose re-request is granted on the spot;
+  // the callback releases at once and so re-enters the runtime that is
+  // completing the install.
+  for (const proto::Algorithm& algorithm : baselines::all_algorithms()) {
+    LockSpaceConfig config = fault_config(5, algorithm.name);
+    LockSpace probe(fault_config(5, algorithm.name));
+    const NodeId home = probe.home_node(probe.open("shard"));
+    const NodeId victim = algorithm.name == "Singhal" ? 1 : home;
+    const NodeId winner = smallest_survivor(5, victim);
+    config.fault_plan.crash(10, victim);
+    LockSpace space(std::move(config));
+    const ResourceId r = space.open("shard");
+
+    Ticket ticket;
+    Ticket after;
+    space.simulator().schedule_at(20, [&] {
+      ticket = space.acquire(r, winner, [&](ResourceId rr, NodeId v) {
+        space.release(rr, v);
+        after = space.acquire(rr, v, [&](ResourceId rr2, NodeId v2) {
+          space.release(rr2, v2);
+        });
+      });
+    });
+    space.run_to_quiescence();
+
+    ASSERT_TRUE(ticket != nullptr) << algorithm.name;
+    EXPECT_TRUE(ticket->granted) << algorithm.name;
+    ASSERT_TRUE(after != nullptr) << algorithm.name;
+    EXPECT_TRUE(after->granted) << algorithm.name;
+    EXPECT_EQ(space.entries(r), 2u) << algorithm.name;
+    EXPECT_EQ(space.epoch(r), ballot(0, 5, winner)) << algorithm.name;
+    EXPECT_FALSE(space.is_degraded(r)) << algorithm.name;
+    space.check_all_invariants();
+  }
+}
+
+TEST(LockSpaceFault, GrantCallbackMayCrashTheWinnerInsideItsInstall) {
+  // As above, but the callback kills the winner inside its first critical
+  // section: the next survivor repairs again and serves another waiter.
+  LockSpaceConfig config = fault_config(5);
+  LockSpace probe(fault_config(5));
+  const NodeId home = probe.home_node(probe.open("shard"));
+  const NodeId winner = smallest_survivor(5, home);
+  NodeId next = winner + 1;
+  if (next == home) ++next;
+  const NodeId waiter = home == 5 || winner == 5 || next == 5 ? 4 : 5;
+  config.fault_plan.crash(10, home);
+  LockSpace space(std::move(config));
+  const ResourceId r = space.open("shard");
+
+  Ticket doomed;
+  Ticket ticket;
+  space.simulator().schedule_at(20, [&] {
+    doomed = space.acquire(r, winner,
+                           [&](ResourceId, NodeId v) { space.crash(v); });
+  });
+  space.simulator().schedule_at(60, [&] {
+    ticket = space.acquire(r, waiter, [&](ResourceId rr, NodeId v) {
+      space.release(rr, v);
+    });
+  });
+  space.run_to_quiescence();
+
+  ASSERT_TRUE(doomed != nullptr);
+  EXPECT_TRUE(doomed->granted);
+  EXPECT_FALSE(space.is_node_up(winner));
+  ASSERT_TRUE(ticket != nullptr);
+  EXPECT_TRUE(ticket->granted);
+  EXPECT_EQ(space.entries(r), 2u);
+  EXPECT_EQ(space.epoch(r), ballot(ballot(0, 5, winner), 5, next));
+  EXPECT_FALSE(space.is_degraded(r));
+  space.check_all_invariants();
+}
+
+TEST(LockSpaceFault, WithoutRecoveryOnlyAFencedResourceIsDegraded) {
+  // Recovery off: a bystander's crash leaves the old world running, so
+  // the resource is not degraded and the post-event hook keeps checking
+  // it. Losing the majority fences it for good; only then is it degraded.
+  LockSpaceConfig config = fault_config(5);
+  LockSpace probe(fault_config(5));
+  const NodeId home = probe.home_node(probe.open("shard"));
+  std::vector<NodeId> bystanders;
+  for (NodeId v = 1; v <= 5; ++v) {
+    if (v != home) bystanders.push_back(v);
+  }
+  config.recovery_enabled = false;
+  config.fault_plan.crash(10, bystanders[0])
+      .crash(100, bystanders[1])
+      .crash(101, bystanders[2]);
+  LockSpace space(std::move(config));
+  const ResourceId r = space.open("shard");
+  int checked = 0;
+  space.set_post_event_hook([&](LockSpace& s, ResourceId rr) {
+    if (!s.is_degraded(rr)) ++checked;
+  });
+
+  Ticket ticket;
+  space.simulator().schedule_at(50, [&] {
+    EXPECT_FALSE(space.is_degraded(r));
+    const int before = checked;
+    ticket = space.acquire(r, home, [&](ResourceId rr, NodeId v) {
+      space.release(rr, v);
+    });
+    EXPECT_GT(checked, before);
+  });
+  space.run_to_quiescence();
+
+  ASSERT_TRUE(ticket != nullptr);
+  EXPECT_TRUE(ticket->granted);
+  EXPECT_EQ(space.alive_count(), 2);
+  EXPECT_TRUE(space.is_degraded(r));
+}
+
 }  // namespace
 }  // namespace dmx::service
